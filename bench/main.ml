@@ -13,8 +13,8 @@
 
 open Bechamel
 module F = Wfq_harness.Figures
-module I = Wfq_harness.Impls
 module W = Wfq_harness.Workload
+module Bks = Wfq_core.Backends
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -22,43 +22,41 @@ module W = Wfq_harness.Workload
 
 (* Per-operation enqueue-dequeue pair on a persistent queue (size stays
    bounded), one closure per algorithm. *)
-let pair_op (module Q : I.BENCH_QUEUE) =
-  let q = Q.create ~num_threads:1 in
+let pair_op (queue : W.queue) =
+  let q = queue.make ~num_threads:1 in
   let i = ref 0 in
   Staged.stage (fun () ->
       incr i;
-      Q.enqueue q ~tid:0 !i;
-      ignore (Q.dequeue q ~tid:0))
+      q.enq ~tid:0 !i;
+      ignore (q.deq ~tid:0))
 
 (* Strictly alternating enq/deq over a prefilled queue: the single-thread
    stand-in for the 50% enqueues mix with a stable queue size. *)
-let alternating_op (module Q : I.BENCH_QUEUE) =
-  let q = Q.create ~num_threads:1 in
+let alternating_op (queue : W.queue) =
+  let q = queue.make ~num_threads:1 in
   for i = 1 to 1000 do
-    Q.enqueue q ~tid:0 i
+    q.enq ~tid:0 i
   done;
   let i = ref 0 in
   Staged.stage (fun () ->
       incr i;
-      if !i land 1 = 0 then Q.enqueue q ~tid:0 !i
-      else ignore (Q.dequeue q ~tid:0))
+      if !i land 1 = 0 then q.enq ~tid:0 !i else ignore (q.deq ~tid:0))
 
 (* Enqueue-only: its minor-allocation profile is the per-node footprint
    that Figure 10 is about. *)
-let enq_op (module Q : I.BENCH_QUEUE) =
-  let q = Q.create ~num_threads:1 in
+let enq_op (queue : W.queue) =
+  let q = queue.make ~num_threads:1 in
   let i = ref 0 in
   Staged.stage (fun () ->
       incr i;
-      Q.enqueue q ~tid:0 !i)
+      q.enq ~tid:0 !i)
 
 let micro_groups =
   [
-    ("fig7-pairs", [ I.lf; I.wf_base; I.wf_opt12 ], pair_op);
-    ("fig8-50pc-enq", [ I.lf; I.wf_base; I.wf_opt12 ], alternating_op);
-    ("fig9-optimizations", [ I.wf_base; I.wf_opt1; I.wf_opt2; I.wf_opt12 ],
-     pair_op);
-    ("fig10-enqueue-alloc", [ I.lf; I.wf_base; I.wf_opt12; I.wf_hp ], enq_op);
+    ("fig7-pairs", F.fig7_series, pair_op);
+    ("fig8-50pc-enq", F.fig7_series, alternating_op);
+    ("fig9-optimizations", F.fig9_series, pair_op);
+    ("fig10-enqueue-alloc", F.fig7_series @ [ W.spec "kp-hp" ], enq_op);
   ]
 
 let run_micro () =
@@ -78,7 +76,7 @@ let run_micro () =
   List.iter
     (fun (group, impls, op) ->
       let tests =
-        List.map (fun impl -> Test.make ~name:(I.name impl) (op impl)) impls
+        List.map (fun (q : W.queue) -> Test.make ~name:q.label (op q)) impls
       in
       let grouped = Test.make_grouped ~name:group tests in
       let raw = Benchmark.all cfg [ clock; alloc ] grouped in
@@ -116,9 +114,6 @@ let run_micro () =
 
 module C = Wfq_primitives.Counted_atomic
 module CA = Wfq_primitives.Counted_atomic.Make (Wfq_primitives.Real_atomic)
-module Cms = Wfq_core.Ms_queue.Make (CA)
-module Ckp = Wfq_core.Kp_queue.Make (CA)
-module Clms = Wfq_core.Lms_queue.Make (CA)
 
 (* Atomic reads/writes/CAS per uncontended operation, at two thread-count
    settings — the table that explains Figure 9: the base algorithm's
@@ -133,39 +128,23 @@ let run_profiles () =
     f ();
     CA.snapshot ()
   in
-  let row name enq deq =
-    Printf.printf "  %-22s enq: %-42s\n  %22s deq: %-42s\n" name
+  let case name spec num_threads =
+    let q : int Wfq_core.Queue_intf.instance =
+      Bks.instantiate_with (module CA) (Bks.find spec) ~num_threads ()
+    in
+    let enq = profile (fun () -> q.enq ~tid:0 1) in
+    q.enq ~tid:0 2;
+    let deq = profile (fun () -> ignore (q.deq ~tid:0)) in
+    Printf.printf "  %-22s enq: %-42s\n  %22s deq: %-42s\n"
+      (Printf.sprintf "%s (n=%d)" name num_threads)
       (Format.asprintf "%a" C.pp enq)
       ""
       (Format.asprintf "%a" C.pp deq)
   in
-  let kp_case name help phase num_threads =
-    let q = Ckp.create_with ~help ~phase ~num_threads () in
-    let enq = profile (fun () -> Ckp.enqueue q ~tid:0 1) in
-    Ckp.enqueue q ~tid:0 2;
-    let deq = profile (fun () -> ignore (Ckp.dequeue q ~tid:0)) in
-    row (Printf.sprintf "%s (n=%d)" name num_threads) enq deq
-  in
-  let q = Cms.create ~num_threads:1 () in
-  let enq = profile (fun () -> Cms.enqueue q ~tid:0 1) in
-  Cms.enqueue q ~tid:0 2;
-  let deq = profile (fun () -> ignore (Cms.dequeue q ~tid:0)) in
-  row "LF (Michael-Scott)" enq deq;
-  let ql = Clms.create ~num_threads:1 () in
-  let enq = profile (fun () -> Clms.enqueue ql ~tid:0 1) in
-  Clms.enqueue ql ~tid:0 2;
-  let deq = profile (fun () -> ignore (Clms.dequeue ql ~tid:0)) in
-  row "LF optimistic (LMS)" enq deq;
-  List.iter
-    (fun n ->
-      kp_case "base WF" Wfq_core.Kp_queue.Help_all
-        Wfq_core.Kp_queue.Phase_scan n)
-    [ 1; 8; 16 ];
-  List.iter
-    (fun n ->
-      kp_case "opt WF (1+2)" Wfq_core.Kp_queue.Help_one_cyclic
-        Wfq_core.Kp_queue.Phase_counter n)
-    [ 1; 16 ];
+  case "LF (Michael-Scott)" "lf" 1;
+  case "LF optimistic (LMS)" "lms" 1;
+  List.iter (case "base WF" "kp-opt12?help=all&phase=scan") [ 1; 8; 16 ];
+  List.iter (case "opt WF (1+2)" "kp-opt12") [ 1; 16 ];
   flush stdout
 
 (* ------------------------------------------------------------------ *)

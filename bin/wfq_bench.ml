@@ -10,14 +10,9 @@ open Cmdliner
 module F = Wfq_harness.Figures
 module R = Wfq_harness.Report
 
-let ints_of_string s =
-  String.split_on_char ',' s
-  |> List.filter (fun x -> x <> "")
-  |> List.map int_of_string
-
 let threads_arg =
   let doc = "Comma-separated thread counts (x axis of figs. 7-9)." in
-  Arg.(value & opt (some string) None & info [ "threads" ] ~docv:"LIST" ~doc)
+  Arg.(value & opt (some (list int)) None & info [ "threads" ] ~docv:"LIST" ~doc)
 
 let iters_arg =
   let doc = "Iterations per thread." in
@@ -36,7 +31,7 @@ let runs_arg =
 
 let sizes_arg =
   let doc = "Comma-separated initial queue sizes (fig. 10)." in
-  Arg.(value & opt (some string) None & info [ "sizes" ] ~docv:"LIST" ~doc)
+  Arg.(value & opt (some (list int)) None & info [ "sizes" ] ~docv:"LIST" ~doc)
 
 let batch_arg =
   let doc =
@@ -67,12 +62,10 @@ let json_arg =
 let build_scale paper threads iters runs sizes : F.scale =
   let base = if paper then F.paper else F.quick in
   {
-    threads =
-      (match threads with Some t -> ints_of_string t | None -> base.threads);
+    threads = Option.value threads ~default:base.threads;
     iters = Option.value iters ~default:base.iters;
     runs = Option.value runs ~default:base.runs;
-    sizes =
-      (match sizes with Some s -> ints_of_string s | None -> base.sizes);
+    sizes = Option.value sizes ~default:base.sizes;
   }
 
 let emit ~csv ~title ~y_label series =
@@ -619,7 +612,7 @@ let run_stats threads iters runs json =
    across run-queue backends and domain counts. *)
 let domains_arg =
   let doc = "Comma-separated worker-domain counts (default 1,2,4)." in
-  Arg.(value & opt (some string) None & info [ "domains" ] ~docv:"LIST" ~doc)
+  Arg.(value & opt (some (list int)) None & info [ "domains" ] ~docv:"LIST" ~doc)
 
 let requests_arg =
   let doc = "Request fibers per run (default 200)." in
@@ -637,10 +630,7 @@ let run_sched domains requests fanout work runs csv json =
   let module SB = Wfq_harness.Sched_bench in
   let scale =
     {
-      SB.domains =
-        (match domains with
-        | Some d -> ints_of_string d
-        | None -> SB.default.SB.domains);
+      SB.domains = Option.value domains ~default:SB.default.SB.domains;
       requests = Option.value requests ~default:SB.default.SB.requests;
       fanout = Option.value fanout ~default:SB.default.SB.fanout;
       work = Option.value work ~default:SB.default.SB.work;
@@ -888,16 +878,11 @@ let figure_cmd which name doc =
 module OL = Wfq_harness.Open_loop
 module Arr = Wfq_harness.Arrivals
 
-let floats_of_string s =
-  String.split_on_char ',' s
-  |> List.filter (fun x -> x <> "")
-  |> List.map float_of_string
-
 let rates_arg =
   let doc = "Comma-separated offered loads in events/second (x axis)." in
   Arg.(
     value
-    & opt string "2000,4000,8000,16000"
+    & opt (list float) [ 2000.; 4000.; 8000.; 16000. ]
     & info [ "rates" ] ~docv:"LIST" ~doc)
 
 let events_arg =
@@ -969,14 +954,18 @@ let knee_floor_arg =
 
 let backends_arg =
   let doc =
-    "Comma-separated registry backend ids to sweep (default: all; see \
-     --list-backends)."
+    "Comma-separated backend specs to sweep (default: every registered \
+     backend outside the baseline family; see --list-backends and \
+     docs/BACKENDS.md)."
   in
-  Arg.(value & opt (some string) None & info [ "backends" ] ~docv:"LIST" ~doc)
+  Arg.(
+    value
+    & opt (some (list Spec_arg.conv)) None
+    & info [ "backends" ] ~docv:"LIST" ~doc)
 
 let run_openloop rates events producers consumers pattern duty burst_len skew
     seed stall_us stall_after knee_mult knee_floor backends json =
-  let rates = List.sort_uniq compare (floats_of_string rates) in
+  let rates = List.sort_uniq compare rates in
   if rates = [] then begin
     prerr_endline "latency-openloop: --rates must name at least one load";
     exit 2
@@ -993,11 +982,8 @@ let run_openloop rates events producers consumers pattern duty burst_len skew
   in
   let selected =
     match backends with
-    | None -> Bks.all ()
-    | Some ids ->
-        String.split_on_char ',' ids
-        |> List.filter (fun x -> x <> "")
-        |> List.map Bks.find
+    | None -> OL.default_backends ()
+    | Some bs -> bs
   in
   Printf.printf
     "open-loop sweep: %s arrivals, %d events/point, %dP/%dC, skew %g, \
@@ -1013,7 +999,7 @@ let run_openloop rates events producers consumers pattern duty burst_len skew
   let results =
     List.map
       (fun (module B : Qi.BACKEND) ->
-        let impl = OL.impl_of_backend (module B) in
+        let queue = Wfq_harness.Workload.spec B.id in
         let pts =
           List.map
             (fun rate ->
@@ -1029,7 +1015,7 @@ let run_openloop rates events producers consumers pattern duty burst_len skew
                   stall;
                 }
               in
-              let r = OL.run cfg impl in
+              let r = OL.run cfg queue in
               Printf.printf
                 "%-16s %10.0f %10.0f %12.0f %12.0f %12.0f %12.0f\n%!" B.id
                 rate r.OL.achieved_rate r.OL.enq.OL.p99 r.OL.sojourn.OL.p50

@@ -2,12 +2,13 @@
    several domains for a wall-clock duration, validating conservation
    invariants continuously. Intended for long unattended runs:
 
-     wfq_soak --queue "opt WF (1+2)" --threads 8 --seconds 30
+     wfq_soak --queue kp-opt12 --threads 8 --seconds 30
+     wfq_soak --queue 'ring?capacity=64' --threads 4 --seconds 5
      wfq_soak --list
 *)
 
 open Cmdliner
-module I = Wfq_harness.Impls
+module Qi = Wfq_core.Queue_intf
 module Rng = Wfq_primitives.Rng
 
 type totals = {
@@ -17,16 +18,17 @@ type totals = {
   mutable checksum : int; (* sum of enqueued minus sum of dequeued *)
 }
 
-let run_soak queue_name threads seconds seed list_queues =
+let run_soak (module B : Qi.BACKEND) threads seconds seed list_queues =
   if list_queues then begin
-    List.iter (fun impl -> print_endline (I.name impl)) I.all;
+    List.iter print_endline (Wfq_core.Backends.ids ());
     exit 0
   end;
-  let (module Q) = I.by_name queue_name in
   if threads <= 0 then invalid_arg "--threads must be positive";
-  Printf.printf "soaking %s: %d domains, %.1fs, seed %d\n%!" Q.name threads
+  Printf.printf "soaking %s: %d domains, %.1fs, seed %d\n%!" B.id threads
     seconds seed;
-  let q = Q.create ~num_threads:(threads + 1) in
+  let q : int Qi.instance =
+    Wfq_core.Backends.instantiate (module B) ~num_threads:(threads + 1) ()
+  in
   let stop = Atomic.make false in
   let totals = Array.init threads (fun _ ->
       { enqs = 0; deq_hits = 0; deq_empties = 0; checksum = 0 })
@@ -40,13 +42,15 @@ let run_soak queue_name threads seconds seed list_queues =
       if Rng.bool rng then
         for _ = 1 to burst do
           let v = 1 + Rng.below rng 1_000_000 in
-          Q.enqueue q ~tid v;
-          t.enqs <- t.enqs + 1;
-          t.checksum <- t.checksum + v
+          (* A full bounded queue refuses the value; it is not counted. *)
+          if q.try_enq ~tid v then begin
+            t.enqs <- t.enqs + 1;
+            t.checksum <- t.checksum + v
+          end
         done
       else
         for _ = 1 to burst do
-          match Q.dequeue q ~tid with
+          match q.deq ~tid with
           | Some v ->
               t.deq_hits <- t.deq_hits + 1;
               t.checksum <- t.checksum - v
@@ -64,7 +68,7 @@ let run_soak queue_name threads seconds seed list_queues =
      must be accounted for by dequeues plus leftovers. *)
   let leftover_count = ref 0 and leftover_sum = ref 0 in
   let rec drain () =
-    match Q.dequeue q ~tid:threads with
+    match q.deq ~tid:threads with
     | Some v ->
         incr leftover_count;
         leftover_sum := !leftover_sum + v;
@@ -89,8 +93,14 @@ let run_soak queue_name threads seconds seed list_queues =
   if not (count_ok && sum_ok) then exit 1
 
 let queue_arg =
-  let doc = "Queue to soak (see --list)." in
-  Arg.(value & opt string "opt WF (1+2)" & info [ "queue" ] ~docv:"NAME" ~doc)
+  let doc =
+    "Backend spec to soak: a registered id (see --list) with optional \
+     key=value overrides, e.g. 'fps-pooled?mf=8' (docs/BACKENDS.md)."
+  in
+  Arg.(
+    value
+    & opt Spec_arg.conv (Wfq_core.Backends.find "kp-opt12")
+    & info [ "queue" ] ~docv:"SPEC" ~doc)
 
 let threads_arg =
   let doc = "Worker domains." in
@@ -105,7 +115,7 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
 let list_arg =
-  let doc = "List available queue names and exit." in
+  let doc = "List the registered backend ids and exit." in
   Arg.(value & flag & info [ "list" ] ~doc)
 
 let () =

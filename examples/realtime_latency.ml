@@ -14,7 +14,7 @@
      dune exec examples/realtime_latency.exe
 *)
 
-module I = Wfq_harness.Impls
+module W = Wfq_harness.Workload
 module L = Wfq_harness.Latency
 
 let threads = 4
@@ -28,15 +28,21 @@ let () =
   Printf.printf "%-16s %-4s %10s %10s %10s %12s\n" "queue" "op" "p50" "p99"
     "p99.9" "max";
   List.iter
-    (fun impl ->
-      let s = L.measure ~threads ~iters impl in
+    (fun (queue : W.queue) ->
+      let s = L.measure ~threads ~iters queue in
       let row op (d : L.dist) =
         Printf.printf "%-16s %-4s %10.2f %10.2f %10.2f %12.2f\n"
-          (I.name impl) op d.L.p50 d.L.p99 d.L.p999 d.L.max
+          queue.label op d.L.p50 d.L.p99 d.L.p999 d.L.max
       in
       row "enq" s.L.enqueue;
       row "deq" s.L.dequeue)
-    [ I.lf; I.wf_base; I.wf_opt12; I.two_lock; I.mutex ];
+    [
+      W.spec "lf";
+      W.spec ~label:"base WF" "kp-opt12?help=all&phase=scan";
+      W.spec "kp-opt12";
+      W.spec "two-lock";
+      W.spec "mutex";
+    ];
   print_newline ();
   if Domain.recommended_domain_count () <= 1 then
     print_endline

@@ -14,7 +14,8 @@
 
 module Sched = Wfq_sched.Sched
 module A = Wfq_primitives.Real_atomic
-module S = Sched.Make (A) (Sched.Rq_fps_pooled (A))
+module Fps_pooled = (val Wfq_core.Backends.find "fps-pooled")
+module S = Sched.Make (A) (Sched.Rq_of (Fps_pooled) (A))
 
 let domains = 4
 let requests = 100

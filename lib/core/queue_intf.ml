@@ -92,7 +92,9 @@ end
 
     Configuration (helping policy, capacity, fast-path budget, …) is
     baked into the module: a registry entry is one {e configured}
-    algorithm, so clients never thread backend-specific arguments. *)
+    algorithm, so clients never thread backend-specific arguments. A
+    spec such as ["ring?capacity=4096"] selects another configuration
+    of an entry ([Backends.find], docs/BACKENDS.md). *)
 module type QUEUE_BACKEND = sig
   type 'a t
 
@@ -120,6 +122,12 @@ module type QUEUE_BACKEND = sig
 
   val dequeue : 'a t -> tid:int -> 'a option
   val enqueue_batch : 'a t -> tid:int -> 'a list -> unit
+
+  val try_enqueue_batch : 'a t -> tid:int -> 'a list -> int
+  (** Bounded-aware batch insert: the length of the accepted prefix
+      (shorter than the batch iff the queue filled up). Unbounded
+      backends accept the whole batch. *)
+
   val dequeue_batch : 'a t -> tid:int -> n:int -> 'a list
 
   (** Quiescent observers, as in {!QUEUE}. *)
@@ -142,13 +150,16 @@ end
     generic drivers need to treat it correctly. *)
 module type BACKEND = sig
   val id : string
-  (** Registry key, kebab-case ("kp-opt12", "fps-pooled", "polylog"). *)
+  (** Registry key, kebab-case ("kp-opt12", "fps-pooled", "polylog");
+      for a configured entry, the spec that selected it
+      ("ring?capacity=4096"). *)
 
   val label : string
   (** Display name used in benchmark legends ("opt WF (1+2)"). *)
 
   val family : string
-  (** Algorithm family ("kp", "fps", "ring", "polylog"). *)
+  (** Algorithm family ("kp", "fps", "ring", "polylog", or "baseline"
+      for the paper's comparison queues). *)
 
   val capacity : int option
   (** [Some c] for bounded backends: the conformance battery switches to
@@ -173,6 +184,7 @@ type 'a instance = {
   try_enq : tid:int -> 'a -> bool;
   deq : tid:int -> 'a option;
   enq_batch : tid:int -> 'a list -> unit;
+  try_enq_batch : tid:int -> 'a list -> int;
   deq_batch : tid:int -> n:int -> 'a list;
   size : unit -> int;
   empty : unit -> bool;

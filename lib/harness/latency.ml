@@ -27,10 +27,10 @@ let dist_of samples_ns n =
   | [ p50; p99; p999; max ] -> { p50; p99; p999; max }
   | _ -> assert false
 
-let measure ?(threads = 4) ?(iters = 10_000) (module Q : Impls.BENCH_QUEUE) =
+let measure ?(threads = 4) ?(iters = 10_000) (queue : Workload.queue) =
   if threads <= 0 || iters <= 0 then invalid_arg "Latency.measure";
   Gc.full_major ();
-  let q = Q.create ~num_threads:threads in
+  let q = queue.make ~num_threads:threads in
   let barrier = Barrier.create (threads + 1) in
   let n = threads * iters in
   let enq_ns = Array.make n 0 in
@@ -39,9 +39,9 @@ let measure ?(threads = 4) ?(iters = 10_000) (module Q : Impls.BENCH_QUEUE) =
     Barrier.wait barrier;
     for i = 0 to iters - 1 do
       let t0 = Clock.now_ns () in
-      Q.enqueue q ~tid i;
+      q.enq ~tid i;
       let t1 = Clock.now_ns () in
-      ignore (Q.dequeue q ~tid);
+      ignore (q.deq ~tid);
       let t2 = Clock.now_ns () in
       (* CLOCK_MONOTONIC is non-decreasing by contract; a negative
          delta means the clock source regressed to something steppable

@@ -26,7 +26,7 @@ type summary = {
           distinguishable from a helping-dominated one *)
 }
 
-val measure : ?threads:int -> ?iters:int -> Impls.impl -> summary
+val measure : ?threads:int -> ?iters:int -> Workload.queue -> summary
 (** Run the enqueue-dequeue pairs workload on [threads] domains,
     recording each enqueue's and each dequeue's monotonic-clock latency
     as separate samples. Raises [Invalid_argument] on non-positive

@@ -19,8 +19,6 @@
     the stats collector, not of instrumented queues. *)
 
 module RA = Wfq_primitives.Real_atomic
-module Kp = Wfq_core.Kp_queue.Make (RA)
-module Fq = Wfq_core.Kp_queue_fps.Make (RA)
 module Sh = Wfq_shard.Shard.Make (RA)
 module Obsv = Wfq_obsv
 
@@ -87,35 +85,22 @@ let collect ~threads ~iters () =
       { queue = name; threads; iters; seconds; ops = 2 * threads * iters }
       :: !lines
   in
+  (* A registry spec instrumented under [prefix]: its hot-path
+     counters plus its [register_metrics] gauges. *)
+  let instrumented spec ~prefix =
+    let q : int Wfq_core.Queue_intf.instance =
+      Wfq_core.Backends.(instantiate (find spec)) ~obsv:(reg, prefix)
+        ~num_threads:slots ()
+    in
+    run prefix ~relaxed:false ~enq:q.enq ~deq:q.deq
+  in
   (* opt WF (1+2): the phase-lag / help-event / lost-phase-bump story. *)
-  let kp =
-    Kp.create_with
-      ~obsv:(Wfq_core.Kp_queue.metrics reg ~prefix:"kp_opt12" ~slots)
-      ~help:Wfq_core.Kp_queue.Help_one_cyclic
-      ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:slots ()
-  in
-  run "kp_opt12" ~relaxed:false ~enq:(Kp.enqueue kp) ~deq:(Kp.dequeue kp);
+  instrumented "kp-opt12" ~prefix:"kp_opt12";
   (* WF fps pooled: fast-path rounds, claim handoffs, pool hit rate. *)
-  let fps =
-    Fq.create_with ~pool:true
-      ~obsv:(Wfq_core.Kp_queue_fps.metrics reg ~prefix:"fps_pooled" ~slots)
-      ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-      ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads:slots ()
-  in
-  Fq.register_metrics fps reg ~prefix:"fps_pooled";
-  run "fps_pooled" ~relaxed:false ~enq:(Fq.enqueue fps)
-    ~deq:(Fq.dequeue fps);
+  instrumented "fps-pooled" ~prefix:"fps_pooled";
   (* WF fps with a zero fast budget: every operation takes the slow
      path, so the slow-path-rate metrics are guaranteed non-trivial. *)
-  let fslow =
-    Fq.create_with ~max_failures:0
-      ~obsv:(Wfq_core.Kp_queue_fps.metrics reg ~prefix:"fps_slow" ~slots)
-      ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-      ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads:slots ()
-  in
-  Fq.register_metrics fslow reg ~prefix:"fps_slow";
-  run "fps_slow" ~relaxed:false ~enq:(Fq.enqueue fslow)
-    ~deq:(Fq.dequeue fslow);
+  instrumented "fps?mf=0" ~prefix:"fps_slow";
   (* Sharded front-end, round-robin tickets: per-shard depth and steal
      sweeps (tickets decouple enqueue and dequeue shards, so steals
      happen constantly). *)
@@ -208,34 +193,13 @@ let measure_overhead ~iters ~runs () =
     done;
     float_of_int (now_ns () - t0)
   in
-  let kp obsv =
-    let obsv =
-      if obsv then
-        Some
-          (Wfq_core.Kp_queue.metrics (Obsv.Metrics.create ()) ~prefix:"kp"
-             ~slots)
-      else None
+  let make spec obsv =
+    let q : int Wfq_core.Queue_intf.instance =
+      Wfq_core.Backends.(instantiate (find spec))
+        ?obsv:(if obsv then Some (Obsv.Metrics.create (), "q") else None)
+        ~num_threads:slots ()
     in
-    let q =
-      Kp.create_with ?obsv ~help:Wfq_core.Kp_queue.Help_one_cyclic
-        ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:slots ()
-    in
-    chunk ~enq:(Kp.enqueue q) ~deq:(Kp.dequeue q)
-  in
-  let fps obsv =
-    let obsv =
-      if obsv then
-        Some
-          (Wfq_core.Kp_queue_fps.metrics
-             (Obsv.Metrics.create ())
-             ~prefix:"fps" ~slots)
-      else None
-    in
-    let q =
-      Fq.create_with ?obsv ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-        ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads:slots ()
-    in
-    chunk ~enq:(Fq.enqueue q) ~deq:(Fq.dequeue q)
+    chunk ~enq:q.enq ~deq:q.deq
   in
   let guard name mk =
     let disabled = mk false and enabled = mk true in
@@ -265,4 +229,4 @@ let measure_overhead ~iters ~runs () =
       enabled_ns_per_op = best !don_ /. ops;
       ratio = median !ratios }
   in
-  [ guard "kp_opt12" kp; guard "fps" fps ]
+  [ guard "kp_opt12" (make "kp-opt12"); guard "fps" (make "fps") ]

@@ -91,27 +91,10 @@ type result = {
   sojourn_hist : Hist.t;  (** per consumer *)
 }
 
-(* Any registered backend as an open-loop target. [enq] blocks with
-   backpressure on bounded backends ([try_enq] retry): a full ring
-   delays the producer past the intended send time and the delay lands
-   in the enqueue-latency samples — which is the honest open-loop
-   reading of "the queue was full". *)
-let impl_of_backend (module B : Wfq_core.Queue_intf.BACKEND) : Impls.impl =
-  (module struct
-    type t = int Wfq_core.Queue_intf.instance
-
-    let name = B.label
-
-    let create ~num_threads =
-      Wfq_core.Backends.instantiate (module B) ~num_threads ()
-
-    let enqueue q ~tid v =
-      while not (q.Wfq_core.Queue_intf.try_enq ~tid v) do
-        Domain.cpu_relax ()
-      done
-
-    let dequeue q ~tid = q.Wfq_core.Queue_intf.deq ~tid
-  end)
+let default_backends () =
+  List.filter
+    (fun b -> Wfq_core.Backends.family b <> "baseline")
+    (Wfq_core.Backends.all ())
 
 let validate cfg =
   if cfg.producers <= 0 || cfg.consumers <= 0 then
@@ -125,7 +108,7 @@ let validate cfg =
         invalid_arg "Open_loop.run: stall parameters must be non-negative"
   | None -> ())
 
-let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
+let run ?metrics cfg (queue : Workload.queue) =
   validate cfg;
   if not (Float.is_finite cfg.rate) || cfg.rate <= 0.0 then
     invalid_arg "Open_loop.run: rate must be positive";
@@ -137,7 +120,7 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
       ~seed:(cfg.seed + 1)
   in
   let threads = cfg.producers + cfg.consumers in
-  let q = Q.create ~num_threads:(threads + 1) in
+  let q = queue.make ~num_threads:(threads + 1) in
   let enq_hist = Hist.create ~slots:cfg.producers () in
   let sojourn_hist = Hist.create ~slots:cfg.consumers () in
   (* Exact samples, preallocated so the hot loops allocate nothing. *)
@@ -160,7 +143,13 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
     for i = 0 to Array.length sched - 1 do
       let intended = t0 + sched.(i) in
       Clock.wait_until intended;
-      Q.enqueue q ~tid sched.(i);
+      (* Backpressure on bounded backends: a full ring delays the
+         producer past the intended send time and the delay lands in
+         the enqueue-latency samples — the honest open-loop reading of
+         "the queue was full". *)
+      while not (q.try_enq ~tid sched.(i)) do
+        Domain.cpu_relax ()
+      done;
       let d = Clock.now_ns () - intended in
       lat.(i) <- d;
       Hist.record enq_hist ~slot:p d
@@ -174,7 +163,7 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
     let local = ref 0 in
     let stall = cfg.stall in
     while Atomic.get consumed < cfg.events do
-      match Q.dequeue q ~tid with
+      match q.deq ~tid with
       | Some intended_rel ->
           let now = Clock.now_ns () in
           let d = now - (t0 + intended_rel) in
@@ -207,10 +196,10 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
   let consumed_total = Array.fold_left ( + ) 0 soj_count in
   if consumed_total <> cfg.events then
     failwith
-      (Printf.sprintf "Open_loop.run: %s consumed %d of %d events" Q.name
+      (Printf.sprintf "Open_loop.run: %s consumed %d of %d events" queue.label
          consumed_total cfg.events);
-  (match Q.dequeue q ~tid:threads with
-  | Some _ -> failwith (Printf.sprintf "Open_loop.run: %s not drained" Q.name)
+  (match q.deq ~tid:threads with
+  | Some _ -> failwith (Printf.sprintf "Open_loop.run: %s not drained" queue.label)
   | None -> ());
   (match metrics with
   | Some (registry, prefix) ->
@@ -265,11 +254,11 @@ type sim_result = {
    closed-loop sees one long sample and [n-1] short ones — the
    coordinated-omission gap, pinned in test_openloop.ml. *)
 let simulate ?(service_ns = 1_000) ?stall ~pattern ~seed ~rate ~events
-    (module Q : Impls.BENCH_QUEUE) =
+    (queue : Workload.queue) =
   if service_ns <= 0 then
     invalid_arg "Open_loop.simulate: service_ns must be positive";
   let schedule = Arrivals.generate pattern ~seed ~rate ~n:events in
-  let q = Q.create ~num_threads:1 in
+  let q = queue.make ~num_threads:1 in
   let open_lat = Array.make events 0 in
   let closed_lat = Array.make events 0 in
   let enq_idx = ref 0 in
@@ -279,18 +268,18 @@ let simulate ?(service_ns = 1_000) ?stall ~pattern ~seed ~rate ~events
     (* Everything that has arrived by the service start is already in
        the queue — in particular event [i] itself. *)
     while !enq_idx < events && schedule.(!enq_idx) <= start do
-      Q.enqueue q ~tid:0 !enq_idx;
+      q.enq ~tid:0 !enq_idx;
       incr enq_idx
     done;
-    (match Q.dequeue q ~tid:0 with
+    (match q.deq ~tid:0 with
     | Some j when j = i -> ()
     | Some j ->
         failwith
           (Printf.sprintf "Open_loop.simulate: %s broke FIFO (%d before %d)"
-             Q.name j i)
+             queue.label j i)
     | None ->
         failwith
-          (Printf.sprintf "Open_loop.simulate: %s empty at event %d" Q.name i));
+          (Printf.sprintf "Open_loop.simulate: %s empty at event %d" queue.label i));
     let completion = start + service_ns in
     let completion =
       match stall with

@@ -51,15 +51,16 @@ type result = {
   sojourn_hist : Wfq_obsv.Histogram.t;  (** one slot per consumer *)
 }
 
-val impl_of_backend : (module Wfq_core.Queue_intf.BACKEND) -> Impls.impl
-(** Any registered backend as an open-loop target. Enqueue applies
-    backpressure on bounded backends ([try_enq] retry loop): a full
-    queue delays the producer past the intended send time, and the
-    delay lands in the enqueue-latency samples. *)
+val default_backends : unit -> Wfq_core.Backends.t list
+(** The backends an open-loop sweep covers by default: every registered
+    entry outside the ["baseline"] family (the wait-free queues). *)
 
-val run : ?metrics:Wfq_obsv.Metrics.t * string -> config -> Impls.impl -> result
+val run : ?metrics:Wfq_obsv.Metrics.t * string -> config -> Workload.queue -> result
 (** Run one open-loop point on real domains ([producers + consumers]
     spawned, plus the calling domain which validates the drain).
+    Producers apply backpressure on bounded backends ([try_enq] retry
+    loop): a full queue delays the producer past the intended send
+    time, and the delay lands in the enqueue-latency samples.
     Conservation is checked (every event dequeued exactly once, queue
     empty after); a violation raises [Failure].
     [?metrics:(registry, prefix)] registers the two histograms as
@@ -81,7 +82,7 @@ val simulate :
   seed:int ->
   rate:float ->
   events:int ->
-  Impls.impl ->
+  Workload.queue ->
   sim_result
 (** Deterministic single-server virtual-time run (Lindley recurrence:
     service starts at max(intended, previous completion), takes

@@ -18,10 +18,6 @@
 module Sched = Wfq_sched.Sched
 module RA = Wfq_primitives.Real_atomic
 module M = Wfq_obsv.Metrics
-module Kp_sched = Sched.Make (RA) (Sched.Rq_kp (RA))
-module Fps_sched = Sched.Make (RA) (Sched.Rq_fps_pooled (RA))
-module Shard_sched = Sched.Make (RA) (Sched.Rq_shard (RA))
-module Ring_sched = Sched.Make (RA) (Sched.Rq_ring (RA))
 
 let now_ns = Clock.now_ns
 
@@ -58,12 +54,17 @@ let cpu_work n =
   done;
   ignore (Sys.opaque_identity !acc)
 
+(* A scheduler over a registry spec's run-queues. *)
+let on spec : (module Sched.S) =
+  let module B = (val Wfq_core.Backends.find spec) in
+  (module Sched.Make (RA) (Sched.Rq_of (B) (RA)))
+
 let backends : (string * (module Sched.S)) list =
   [
-    ("kp_opt12", (module Kp_sched));
-    ("fps_pooled", (module Fps_sched));
-    ("shard_rr2", (module Shard_sched));
-    ("ring", (module Ring_sched));
+    ("kp_opt12", on "kp-opt12");
+    ("fps_pooled", on "fps-pooled");
+    ("shard_rr2", (module Sched.Make (RA) (Sched.Rq_shard (RA))));
+    ("ring", on "ring?capacity=4096");
   ]
 
 let service_once (module Sch : Sched.S) ~backend ~domains ~requests ~fanout

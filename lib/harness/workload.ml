@@ -92,24 +92,60 @@ let fresh_counters threads =
 
 let sum_by counters f = Array.fold_left (fun acc c -> acc + f c) 0 counters
 
-(** Count elements left by draining with [dequeue] (observers like
-    [to_list] are not part of {!Impls.BENCH_QUEUE}). *)
-let drain (type a) (module Q : Impls.BENCH_QUEUE with type t = a) (q : a) =
-  let rec go n =
-    match Q.dequeue q ~tid:0 with Some _ -> go (n + 1) | None -> n
+type queue = {
+  label : string;
+  make : num_threads:int -> int Wfq_core.Queue_intf.instance;
+}
+
+let spec ?label s =
+  let b = Wfq_core.Backends.find s in
+  let instantiate = Wfq_core.Backends.instantiate b in
+  {
+    label = Option.value label ~default:(Wfq_core.Backends.label b);
+    make = (fun ~num_threads -> instantiate ~num_threads ());
+  }
+
+(* The batch amortization baseline: batches looped one element at a
+   time over the wrapped queue's single-element operations. *)
+let per_item (i : 'a Wfq_core.Queue_intf.instance) =
+  let rec take ~tid k acc =
+    if k = 0 then List.rev acc
+    else
+      match i.deq ~tid with
+      | Some v -> take ~tid (k - 1) (v :: acc)
+      | None -> List.rev acc
   in
+  {
+    i with
+    enq_batch = (fun ~tid vs -> List.iter (fun v -> i.enq ~tid v) vs);
+    try_enq_batch =
+      (fun ~tid vs ->
+        let rec go n = function
+          | v :: rest when i.try_enq ~tid v -> go (n + 1) rest
+          | _ -> n
+        in
+        go 0 vs);
+    deq_batch =
+      (fun ~tid ~n ->
+        if n < 0 then invalid_arg "Workload.per_item: n";
+        take ~tid n []);
+  }
+
+(* Count elements left by draining with [deq]. *)
+let drain (q : int Wfq_core.Queue_intf.instance) =
+  let rec go n = match q.deq ~tid:0 with Some _ -> go (n + 1) | None -> n in
   go 0
 
-let pairs ?(check = true) (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
+let pairs ?(check = true) (queue : queue) ~threads ~iters () =
   if threads <= 0 || iters <= 0 then invalid_arg "Workload.pairs";
-  let q = Q.create ~num_threads:(threads + 1) in
+  let q = queue.make ~num_threads:(threads + 1) in
   let counters = fresh_counters threads in
   let worker tid =
     let c = counters.(tid) in
     for i = 1 to iters do
-      Q.enqueue q ~tid ((tid * iters) + i);
+      q.enq ~tid ((tid * iters) + i);
       c.enqs <- c.enqs + 1;
-      match Q.dequeue q ~tid with
+      match q.deq ~tid with
       | Some _ -> c.deq_hits <- c.deq_hits + 1
       | None -> c.deq_empties <- c.deq_empties + 1
     done
@@ -120,12 +156,12 @@ let pairs ?(check = true) (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
     if empties > 0 then
       failwith
         (Printf.sprintf "%s: %d impossible empty dequeues in pairs workload"
-           Q.name empties);
-    let leftover = drain (module Q) q in
+           queue.label empties);
+    let leftover = drain q in
     if leftover <> 0 then
       failwith
         (Printf.sprintf "%s: %d elements left after balanced pairs workload"
-           Q.name leftover)
+           queue.label leftover)
   end;
   { seconds; total_ops = 2 * threads * iters; per_thread = counters; gc }
 
@@ -135,17 +171,17 @@ let pairs ?(check = true) (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
    flight even though the global queue is never empty. Misses are
    tallied in [deq_empties]; conservation still holds exactly. *)
 let pairs_relaxed ?(check = true) ?(max_retries = 10_000_000)
-    (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
+    (queue : queue) ~threads ~iters () =
   if threads <= 0 || iters <= 0 then invalid_arg "Workload.pairs_relaxed";
-  let q = Q.create ~num_threads:(threads + 1) in
+  let q = queue.make ~num_threads:(threads + 1) in
   let counters = fresh_counters threads in
   let worker tid =
     let c = counters.(tid) in
     for i = 1 to iters do
-      Q.enqueue q ~tid ((tid * iters) + i);
+      q.enq ~tid ((tid * iters) + i);
       c.enqs <- c.enqs + 1;
       let rec take retries =
-        match Q.dequeue q ~tid with
+        match q.deq ~tid with
         | Some _ -> c.deq_hits <- c.deq_hits + 1
         | None ->
             c.deq_empties <- c.deq_empties + 1;
@@ -154,7 +190,7 @@ let pairs_relaxed ?(check = true) ?(max_retries = 10_000_000)
                 (Printf.sprintf
                    "%s: dequeue still empty after %d sweeps in \
                     relaxed-pairs workload"
-                   Q.name retries)
+                   queue.label retries)
             else take (retries + 1)
       in
       take 0
@@ -167,13 +203,13 @@ let pairs_relaxed ?(check = true) ?(max_retries = 10_000_000)
     if enqs <> hits then
       failwith
         (Printf.sprintf "%s: relaxed pairs imbalance (%d enq, %d deq)"
-           Q.name enqs hits);
-    let leftover = drain (module Q) q in
+           queue.label enqs hits);
+    let leftover = drain q in
     if leftover <> 0 then
       failwith
         (Printf.sprintf
            "%s: %d elements left after balanced relaxed-pairs workload"
-           Q.name leftover)
+           queue.label leftover)
   end;
   { seconds; total_ops = 2 * threads * iters; per_thread = counters; gc }
 
@@ -187,28 +223,28 @@ let pairs_relaxed ?(check = true) ?(max_retries = 10_000_000)
    non-empty — but the sharded front-end's non-atomic sweep may miss
    elements in flight, exactly as in {!pairs_relaxed}. *)
 let pairs_batch ?(check = true) ?(max_retries = 10_000_000)
-    (module Q : Impls.BATCH_BENCH_QUEUE) ~threads ~iters ~batch () =
+    (queue : queue) ~threads ~iters ~batch () =
   if threads <= 0 || iters <= 0 || batch <= 0 || iters < batch then
     invalid_arg "Workload.pairs_batch";
   let rounds = iters / batch in
-  let q = Q.create ~num_threads:(threads + 1) in
+  let q = queue.make ~num_threads:(threads + 1) in
   let counters = fresh_counters threads in
   let worker tid =
     let c = counters.(tid) in
     for round = 0 to rounds - 1 do
       let base = (tid * iters) + (round * batch) in
-      Q.enqueue_batch q ~tid (List.init batch (fun i -> base + i));
+      q.enq_batch ~tid (List.init batch (fun i -> base + i));
       c.enqs <- c.enqs + batch;
       let rec take want retries =
         if want > 0 then begin
-          let got = List.length (Q.dequeue_batch q ~tid ~n:want) in
+          let got = List.length (q.deq_batch ~tid ~n:want) in
           c.deq_hits <- c.deq_hits + got;
           if got < want then begin
             c.deq_empties <- c.deq_empties + 1;
             if retries >= max_retries then
               failwith
                 (Printf.sprintf
-                   "%s: batch dequeue still short after %d sweeps" Q.name
+                   "%s: batch dequeue still short after %d sweeps" queue.label
                    retries)
             else take (want - got) (retries + 1)
           end
@@ -223,18 +259,18 @@ let pairs_batch ?(check = true) ?(max_retries = 10_000_000)
     let hits = sum_by counters (fun c -> c.deq_hits) in
     if enqs <> hits then
       failwith
-        (Printf.sprintf "%s: batch pairs imbalance (%d enq, %d deq)" Q.name
+        (Printf.sprintf "%s: batch pairs imbalance (%d enq, %d deq)" queue.label
            enqs hits);
     let leftover =
       let rec go n =
-        match Q.dequeue q ~tid:0 with Some _ -> go (n + 1) | None -> n
+        match q.deq ~tid:0 with Some _ -> go (n + 1) | None -> n
       in
       go 0
     in
     if leftover <> 0 then
       failwith
         (Printf.sprintf "%s: %d elements left after balanced batch pairs"
-           Q.name leftover)
+           queue.label leftover)
   end;
   {
     seconds;
@@ -244,11 +280,11 @@ let pairs_batch ?(check = true) ?(max_retries = 10_000_000)
   }
 
 let p_enq ?(check = true) ?(prefill = 1000) ?(seed = 42)
-    (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
+    (queue : queue) ~threads ~iters () =
   if threads <= 0 || iters <= 0 then invalid_arg "Workload.p_enq";
-  let q = Q.create ~num_threads:(threads + 1) in
+  let q = queue.make ~num_threads:(threads + 1) in
   for i = 1 to prefill do
-    Q.enqueue q ~tid:0 i
+    q.enq ~tid:0 i
   done;
   let counters = fresh_counters threads in
   let worker tid =
@@ -256,11 +292,11 @@ let p_enq ?(check = true) ?(prefill = 1000) ?(seed = 42)
     let c = counters.(tid) in
     for i = 1 to iters do
       if Wfq_primitives.Rng.bool rng then begin
-        Q.enqueue q ~tid ((tid * iters) + i);
+        q.enq ~tid ((tid * iters) + i);
         c.enqs <- c.enqs + 1
       end
       else
-        match Q.dequeue q ~tid with
+        match q.deq ~tid with
         | Some _ -> c.deq_hits <- c.deq_hits + 1
         | None -> c.deq_empties <- c.deq_empties + 1
     done
@@ -269,12 +305,12 @@ let p_enq ?(check = true) ?(prefill = 1000) ?(seed = 42)
   if check then begin
     let enqs = sum_by counters (fun c -> c.enqs) in
     let hits = sum_by counters (fun c -> c.deq_hits) in
-    let leftover = drain (module Q) q in
+    let leftover = drain q in
     if prefill + enqs - hits <> leftover then
       failwith
         (Printf.sprintf
            "%s: conservation violated (prefill %d + enq %d - deq %d <> left %d)"
-           Q.name prefill enqs hits leftover)
+           queue.label prefill enqs hits leftover)
   end;
   { seconds; total_ops = threads * iters; per_thread = counters; gc }
 

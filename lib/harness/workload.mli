@@ -3,6 +3,29 @@
     conservation (or observes an impossible empty dequeue) raises
     [Failure] rather than reporting a meaningless time. *)
 
+type queue = {
+  label : string;  (** series label in reports and failure messages *)
+  make : num_threads:int -> int Wfq_core.Queue_intf.instance;
+      (** a fresh, empty queue admitting tids [0 .. num_threads - 1];
+          the workloads build one per run, sized [threads + 1] *)
+}
+(** A queue under test: how to build its {!Wfq_core.Queue_intf.instance}
+    and what to call it. Registry backends come from {!spec}; the shard
+    front-end and the universal construction build their instance by
+    hand. *)
+
+val spec : ?label:string -> string -> queue
+(** A {!Wfq_core.Backends} spec as a queue under test ([spec ~label:"base
+    WF" "kp-opt12?help=all&phase=scan"]). The label defaults to the
+    entry's. The spec is resolved here, once; raises [Invalid_argument]
+    if {!Wfq_core.Backends.find} rejects it. *)
+
+val per_item :
+  'a Wfq_core.Queue_intf.instance -> 'a Wfq_core.Queue_intf.instance
+(** The same queue with its batch operations looped one element at a
+    time over the single-element ones — the baseline native batches are
+    measured against. *)
+
 type counters = {
   mutable enqs : int;
   mutable deq_hits : int;
@@ -31,7 +54,7 @@ type run_result = {
 
 val pairs :
   ?check:bool ->
-  Impls.impl ->
+  queue ->
   threads:int ->
   iters:int ->
   unit ->
@@ -44,7 +67,7 @@ val pairs :
 val pairs_relaxed :
   ?check:bool ->
   ?max_retries:int ->
-  Impls.impl ->
+  queue ->
   threads:int ->
   iters:int ->
   unit ->
@@ -59,7 +82,7 @@ val pairs_relaxed :
 val pairs_batch :
   ?check:bool ->
   ?max_retries:int ->
-  Impls.batch_impl ->
+  queue ->
   threads:int ->
   iters:int ->
   batch:int ->
@@ -78,7 +101,7 @@ val p_enq :
   ?check:bool ->
   ?prefill:int ->
   ?seed:int ->
-  Impls.impl ->
+  queue ->
   threads:int ->
   iters:int ->
   unit ->

@@ -497,32 +497,8 @@ end
 (* Run-queue backends                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Each backend is the paper's fastest slow-path configuration
-   (opt (1+2): Help_one_cyclic + Phase_counter), matching the shard
-   front-end's choice. *)
-
-module Rq_kp (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE = struct
-  module Kp = Wfq_core.Kp_queue.Make (A)
-  include Kp
-
-  let name = "kp_opt12"
-
-  let create ~num_threads () =
-    Kp.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-      ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ()
-end
-
-module Rq_fps_pooled (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE =
-struct
-  module Fq = Wfq_core.Kp_queue_fps.Make (A)
-  include Fq
-
-  let name = "fps_pooled"
-
-  let create ~num_threads () =
-    Fq.create_with ~pool:true ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-      ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ()
-end
+(* The shard front-end is not a registry entry, so it keeps its own
+   adapter: two round-robin shards of opt-(1+2) KP. *)
 
 module Rq_shard (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE = struct
   module Sh = Wfq_shard.Shard.Make (A)
@@ -534,25 +510,11 @@ module Rq_shard (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE = struct
     Sh.create ~policy:Wfq_shard.Shard.Round_robin ~shards:2 ~num_threads ()
 end
 
-module Rq_ring (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE = struct
-  module Rg = Wfq_core.Ring_queue.Make (A)
-  include Rg
-
-  let name = "ring"
-
-  (* 4096 pre-allocated slots per worker: zero allocation per task
-     hand-off and array locality on the hot path. The bound is a real
-     contract — a worker with more than 4096 queued slices sees
-     [Ring_full] from its push — but a run-queue's depth is bounded by
-     live fibers, far below this in every workload here. *)
-  let create ~num_threads () = Rg.create_with ~capacity:4096 ~num_threads ()
-end
-
 (* The registry route: any {!Wfq_core.Queue_intf.BACKEND} as a
    run-queue. A QUEUE_BACKEND's [create] carries the optional [?obsv] /
    [?pool] configuration hooks, so the only adaptation needed is
-   pinning [create] to the plain RUN_QUEUE arity — the backend's
-   registered default configuration applies. *)
+   pinning [create] to the plain RUN_QUEUE arity — the configuration is
+   the one the backend's spec selected. *)
 module Rq_of
     (B : Wfq_core.Queue_intf.BACKEND)
     (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE = struct

@@ -21,150 +21,72 @@
       and per-producer order. *)
 
 module A = Wfq_primitives.Real_atomic
-module Kp = Wfq_core.Kp_queue.Make (A)
-module Fps = Wfq_core.Kp_queue_fps.Make (A)
 module Ring = Wfq_core.Ring_queue.Make (A)
 module Shard = Wfq_shard.Shard.Make (A)
+module W = Wfq_harness.Workload
 module Sched = Wfq_sched.Sched
-module Fps_sched = Sched.Make (A) (Sched.Rq_fps_pooled (A))
+module Fps_pooled = (val Wfq_core.Backends.find "fps-pooled")
+module Fps_sched = Sched.Make (A) (Sched.Rq_of (Fps_pooled) (A))
 
 (* ------------------------------------------------------------------ *)
 (* Uniform sequential contract                                         *)
 (* ------------------------------------------------------------------ *)
 
-type 'q batch_queue = {
-  make : num_threads:int -> 'q;
-  enq : 'q -> tid:int -> int -> unit;
-  deq : 'q -> tid:int -> int option;
-  enq_batch : 'q -> tid:int -> int list -> unit;
-  deq_batch : 'q -> tid:int -> n:int -> int list;
-  len : 'q -> int;
-}
+let shard name make : W.queue =
+  { label = name; make = (fun ~num_threads -> Shard.instance (make ~num_threads)) }
 
-type packed = Q : string * 'q batch_queue -> packed
-
+(* Every batch-capable configuration, by spec; the strict (single-shard)
+   front-end is a linearizable FIFO, so the uniform ordering contract
+   applies to it verbatim. *)
 let backends =
   [
-    Q
-      ( "kp-opt12",
-        {
-          make =
-            (fun ~num_threads ->
-              Kp.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-                ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ());
-          enq = (fun q ~tid v -> Kp.enqueue q ~tid v);
-          deq = (fun q ~tid -> Kp.dequeue q ~tid);
-          enq_batch = (fun q ~tid vs -> Kp.enqueue_batch q ~tid vs);
-          deq_batch = (fun q ~tid ~n -> Kp.dequeue_batch q ~tid ~n);
-          len = Kp.length;
-        } );
-    Q
-      ( "kp-fps mf=1",
-        {
-          make =
-            (fun ~num_threads ->
-              Fps.create_with ~max_failures:1
-                ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-                ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ());
-          enq = (fun q ~tid v -> Fps.enqueue q ~tid v);
-          deq = (fun q ~tid -> Fps.dequeue q ~tid);
-          enq_batch = (fun q ~tid vs -> Fps.enqueue_batch q ~tid vs);
-          deq_batch = (fun q ~tid ~n -> Fps.dequeue_batch q ~tid ~n);
-          len = Fps.length;
-        } );
-    Q
-      ( "kp-fps mf=64",
-        {
-          make =
-            (fun ~num_threads ->
-              Fps.create_with ~max_failures:64
-                ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-                ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ());
-          enq = (fun q ~tid v -> Fps.enqueue q ~tid v);
-          deq = (fun q ~tid -> Fps.dequeue q ~tid);
-          enq_batch = (fun q ~tid vs -> Fps.enqueue_batch q ~tid vs);
-          deq_batch = (fun q ~tid ~n -> Fps.dequeue_batch q ~tid ~n);
-          len = Fps.length;
-        } );
-    Q
-      ( "ring mf=1",
-        {
-          make =
-            (fun ~num_threads ->
-              Ring.create_with ~capacity:4096 ~max_failures:1 ~num_threads
-                ());
-          enq = (fun q ~tid v -> Ring.enqueue q ~tid v);
-          deq = (fun q ~tid -> Ring.dequeue q ~tid);
-          enq_batch = (fun q ~tid vs -> Ring.enqueue_batch q ~tid vs);
-          deq_batch = (fun q ~tid ~n -> Ring.dequeue_batch q ~tid ~n);
-          len = Ring.length;
-        } );
-    Q
-      ( "ring mf=0 (all slow)",
-        {
-          make =
-            (fun ~num_threads ->
-              Ring.create_with ~capacity:4096 ~max_failures:0 ~num_threads
-                ());
-          enq = (fun q ~tid v -> Ring.enqueue q ~tid v);
-          deq = (fun q ~tid -> Ring.dequeue q ~tid);
-          enq_batch = (fun q ~tid vs -> Ring.enqueue_batch q ~tid vs);
-          deq_batch = (fun q ~tid ~n -> Ring.dequeue_batch q ~tid ~n);
-          len = Ring.length;
-        } );
-    (* Strict (single-shard) front-end: a linearizable FIFO, so the
-       uniform ordering contract applies verbatim. *)
-    Q
-      ( "shard strict",
-        {
-          make = (fun ~num_threads -> Shard.create_strict ~num_threads ());
-          enq = (fun q ~tid v -> Shard.enqueue q ~tid v);
-          deq = (fun q ~tid -> Shard.dequeue q ~tid);
-          enq_batch = (fun q ~tid vs -> Shard.enqueue_batch q ~tid vs);
-          deq_batch = (fun q ~tid ~n -> Shard.dequeue_batch q ~tid ~n);
-          len = Shard.length;
-        } );
+    W.spec ~label:"kp-opt12" "kp-opt12";
+    W.spec ~label:"kp-fps mf=1" "fps?mf=1";
+    W.spec ~label:"kp-fps mf=64" "fps?mf=64";
+    W.spec ~label:"ring mf=1" "ring?capacity=4096&mf=1";
+    W.spec ~label:"ring mf=0 (all slow)" "ring?capacity=4096&mf=0";
+    shard "shard strict" (fun ~num_threads -> Shard.create_strict ~num_threads ());
   ]
 
-let test_batch_fifo (Q (name, b)) () =
-  let q = b.make ~num_threads:1 in
-  b.enq_batch q ~tid:0 [ 1; 2; 3 ];
-  b.enq q ~tid:0 4;
-  b.enq_batch q ~tid:0 [ 5; 6 ];
-  Alcotest.(check int) (name ^ ": length after batches") 6 (b.len q);
+let test_batch_fifo ({ label = name; make } : W.queue) () =
+  let q = make ~num_threads:1 in
+  q.enq_batch ~tid:0 [ 1; 2; 3 ];
+  q.enq ~tid:0 4;
+  q.enq_batch ~tid:0 [ 5; 6 ];
+  Alcotest.(check int) (name ^ ": length after batches") 6 (q.size ());
   Alcotest.(check (list int))
     (name ^ ": batch dequeue in FIFO order")
     [ 1; 2; 3; 4 ]
-    (b.deq_batch q ~tid:0 ~n:4);
+    (q.deq_batch ~tid:0 ~n:4);
   Alcotest.(check (option int)) (name ^ ": single after batch") (Some 5)
-    (b.deq q ~tid:0);
+    (q.deq ~tid:0);
   Alcotest.(check (list int))
     (name ^ ": tail of second batch")
     [ 6 ]
-    (b.deq_batch q ~tid:0 ~n:1);
-  Alcotest.(check (option int)) (name ^ ": drained") None (b.deq q ~tid:0)
+    (q.deq_batch ~tid:0 ~n:1);
+  Alcotest.(check (option int)) (name ^ ": drained") None (q.deq ~tid:0)
 
-let test_batch_edge_cases (Q (name, b)) () =
-  let q = b.make ~num_threads:1 in
-  b.enq_batch q ~tid:0 [];
-  Alcotest.(check int) (name ^ ": empty batch is a no-op") 0 (b.len q);
+let test_batch_edge_cases ({ label = name; make } : W.queue) () =
+  let q = make ~num_threads:1 in
+  q.enq_batch ~tid:0 [];
+  Alcotest.(check int) (name ^ ": empty batch is a no-op") 0 (q.size ());
   Alcotest.(check (list int))
     (name ^ ": zero want returns nothing")
-    [] (b.deq_batch q ~tid:0 ~n:0);
+    [] (q.deq_batch ~tid:0 ~n:0);
   Alcotest.(check (list int))
     (name ^ ": over-ask on empty returns nothing")
     []
-    (b.deq_batch q ~tid:0 ~n:5);
-  b.enq_batch q ~tid:0 [ 7; 8 ];
+    (q.deq_batch ~tid:0 ~n:5);
+  q.enq_batch ~tid:0 [ 7; 8 ];
   Alcotest.(check (list int))
     (name ^ ": over-ask returns short")
     [ 7; 8 ]
-    (b.deq_batch q ~tid:0 ~n:10);
-  b.enq_batch q ~tid:0 [ 9 ];
+    (q.deq_batch ~tid:0 ~n:10);
+  q.enq_batch ~tid:0 [ 9 ];
   Alcotest.(check (list int))
     (name ^ ": singleton batch")
     [ 9 ]
-    (b.deq_batch q ~tid:0 ~n:1);
+    (q.deq_batch ~tid:0 ~n:1);
   Alcotest.check_raises (name ^ ": negative want rejected")
     (Invalid_argument
        (match name with
@@ -172,34 +94,34 @@ let test_batch_edge_cases (Q (name, b)) () =
        | "kp-fps mf=1" | "kp-fps mf=64" -> "Kp_queue_fps.dequeue_batch: n"
        | "ring mf=1" | "ring mf=0 (all slow)" -> "Ring_queue.dequeue_batch: n"
        | _ -> "Shard.dequeue_batch: n"))
-    (fun () -> ignore (b.deq_batch q ~tid:0 ~n:(-1)))
+    (fun () -> ignore (q.deq_batch ~tid:0 ~n:(-1)))
 
-let test_batch_interleaved_rounds (Q (name, b)) () =
+let test_batch_interleaved_rounds ({ label = name; make } : W.queue) () =
   (* Many alternating batch/single rounds through one queue: the
      cross-batch FIFO seam never tears. *)
-  let q = b.make ~num_threads:1 in
+  let q = make ~num_threads:1 in
   let next = ref 1 and expect = ref 1 in
   for round = 1 to 50 do
     let k = 1 + (round mod 7) in
     let vs = List.init k (fun i -> !next + i) in
     next := !next + k;
-    if round mod 3 = 0 then List.iter (fun v -> b.enq q ~tid:0 v) vs
-    else b.enq_batch q ~tid:0 vs;
+    if round mod 3 = 0 then List.iter (fun v -> q.enq ~tid:0 v) vs
+    else q.enq_batch ~tid:0 vs;
     let want = 1 + (round mod 5) in
     List.iter
       (fun v ->
         if v <> !expect then
           Alcotest.failf "%s: round %d got %d wanted %d" name round v !expect;
         incr expect)
-      (b.deq_batch q ~tid:0 ~n:want)
+      (q.deq_batch ~tid:0 ~n:want)
   done;
   List.iter
     (fun v ->
       if v <> !expect then Alcotest.failf "%s: drain got %d" name v;
       incr expect)
-    (b.deq_batch q ~tid:0 ~n:max_int);
+    (q.deq_batch ~tid:0 ~n:max_int);
   Alcotest.(check int) (name ^ ": all accounted") !next !expect;
-  Alcotest.(check int) (name ^ ": empty at end") 0 (b.len q)
+  Alcotest.(check int) (name ^ ": empty at end") 0 (q.size ())
 
 (* ------------------------------------------------------------------ *)
 (* Ring-specific bounded behaviour                                     *)
@@ -441,11 +363,15 @@ let seq_of v = v mod 1_000_000
    conservation (exactly-once) plus per-producer order within each
    consumer's log. Applies to every backend whose global order is FIFO
    per producer — for the multi-shard front-end we use [Tid_affine], so
-   each producer's values share a shard and stay mutually ordered. *)
-let test_domains_batch_stress (Q (name, b)) () =
+   each producer's values share a shard and stay mutually ordered.
+   Producers go through the bounded-aware inserts and retry what a full
+   queue refused: on an oversubscribed host the consumers can fall a
+   whole ring behind, and "full" is then the right answer, not a
+   failure. *)
+let test_domains_batch_stress ({ label = name; make } : W.queue) () =
   let producers = 2 and consumers = 2 and per_producer = 3_000 in
   let num_threads = producers + consumers in
-  let q = b.make ~num_threads in
+  let q = make ~num_threads in
   let total = producers * per_producer in
   let consumed = Atomic.make 0 in
   let logs = Array.make consumers [] in
@@ -454,8 +380,18 @@ let test_domains_batch_stress (Q (name, b)) () =
     while !seq <= per_producer do
       let k = min (1 + (!seq mod 5)) (per_producer - !seq + 1) in
       let vs = List.init k (fun i -> encode ~producer:p ~seq:(!seq + i)) in
-      if !seq mod 3 = 0 then List.iter (fun v -> b.enq q ~tid:p v) vs
-      else b.enq_batch q ~tid:p vs;
+      let rec put = function
+        | [] -> ()
+        | v :: rest as vs ->
+            if !seq mod 3 = 0 then
+              if q.try_enq ~tid:p v then put rest
+              else (Domain.cpu_relax (); put vs)
+            else
+              let k = q.try_enq_batch ~tid:p vs in
+              if k = 0 then Domain.cpu_relax ();
+              put (List.filteri (fun j _ -> j >= k) vs)
+      in
+      put vs;
       seq := !seq + k
     done
   in
@@ -463,7 +399,7 @@ let test_domains_batch_stress (Q (name, b)) () =
     let tid = producers + c in
     let got = ref [] in
     while Atomic.get consumed < total do
-      match b.deq_batch q ~tid ~n:(1 + (Atomic.get consumed mod 7)) with
+      match q.deq_batch ~tid ~n:(1 + (Atomic.get consumed mod 7)) with
       | [] -> Domain.cpu_relax ()
       | xs ->
           List.iter (fun v -> got := v :: !got) xs;
@@ -486,7 +422,7 @@ let test_domains_batch_stress (Q (name, b)) () =
   Alcotest.(check int)
     (name ^ ": every value consumed exactly once")
     total (Hashtbl.length seen);
-  Alcotest.(check int) (name ^ ": empty at end") 0 (b.len q);
+  Alcotest.(check int) (name ^ ": empty at end") 0 (q.size ());
   Array.iter
     (fun log ->
       let last_seq = Array.make producers 0 in
@@ -501,23 +437,13 @@ let test_domains_batch_stress (Q (name, b)) () =
     logs
 
 let shard_affine =
-  Q
-    ( "shard tid-affine x4",
-      {
-        make =
-          (fun ~num_threads ->
-            Shard.create ~policy:Wfq_shard.Shard.Tid_affine ~shards:4
-              ~num_threads ());
-        enq = (fun q ~tid v -> Shard.enqueue q ~tid v);
-        deq = (fun q ~tid -> Shard.dequeue q ~tid);
-        enq_batch = (fun q ~tid vs -> Shard.enqueue_batch q ~tid vs);
-        deq_batch = (fun q ~tid ~n -> Shard.dequeue_batch q ~tid ~n);
-        len = Shard.length;
-      } )
+  shard "shard tid-affine x4" (fun ~num_threads ->
+      Shard.create ~policy:Wfq_shard.Shard.Tid_affine ~shards:4 ~num_threads ())
 
 let contract_cases =
   List.concat_map
-    (fun (Q (name, _) as q) ->
+    (fun (q : W.queue) ->
+      let name = q.label in
       [
         Alcotest.test_case (name ^ " FIFO across batches") `Quick
           (test_batch_fifo q);
@@ -530,8 +456,8 @@ let contract_cases =
 
 let stress_cases =
   List.map
-    (fun (Q (name, _) as q) ->
-      Alcotest.test_case (name ^ " 2p/2c mixed batch") `Quick
+    (fun (q : W.queue) ->
+      Alcotest.test_case (q.label ^ " 2p/2c mixed batch") `Quick
         (test_domains_batch_stress q))
     (backends @ [ shard_affine ])
 

@@ -434,49 +434,6 @@ let test_probes_sequential () =
   Alcotest.(check (result unit string)) "invariants" (Ok ())
     (Fp.check_quiescent_invariants q)
 
-(* Sharded front-end over FPS shards: the Wfq_shard wiring. *)
-module Sh = Wfq_shard.Shard.Make (A)
-
-let test_shard_fps_backend () =
-  let threads = 4 in
-  let q =
-    Sh.create ~policy:Wfq_shard.Shard.Tid_affine
-      ~backend:(Wfq_shard.Shard.Fps { max_failures = 8 })
-      ~shards:2 ~num_threads:threads ()
-  in
-  Alcotest.(check bool) "backend probe" true
-    (Sh.backend q = Wfq_shard.Shard.Fps { max_failures = 8 });
-  let per = 2_000 in
-  let domains =
-    List.init threads (fun tid ->
-        Domain.spawn (fun () ->
-            for seq = 1 to per do
-              Sh.enqueue q ~tid (encode ~producer:tid ~seq)
-            done))
-  in
-  List.iter Domain.join domains;
-  (* Sequential drain: conservation + per-producer order (each producer's
-     elements share a shard under Tid_affine, so their order survives). *)
-  let last_seq = Array.make threads 0 in
-  let count = ref 0 in
-  let rec drain () =
-    match Sh.dequeue q ~tid:0 with
-    | None -> ()
-    | Some v ->
-        incr count;
-        let p = producer_of v and s = seq_of v in
-        if s <> last_seq.(p) + 1 then
-          Alcotest.fail
-            (Printf.sprintf "producer %d out of order: %d after %d" p s
-               last_seq.(p));
-        last_seq.(p) <- s;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check int) "all present" (threads * per) !count;
-  Alcotest.(check (result unit string)) "shard invariants" (Ok ())
-    (Sh.check_quiescent_invariants q)
-
 let () =
   Alcotest.run "fps"
     [
@@ -513,7 +470,5 @@ let () =
             test_create_validation;
           Alcotest.test_case "probes (sequential)" `Quick
             test_probes_sequential;
-          Alcotest.test_case "shard front-end over fps shards" `Quick
-            test_shard_fps_backend;
         ] );
     ]

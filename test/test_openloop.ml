@@ -6,9 +6,8 @@
 module A = Wfq_harness.Arrivals
 module OL = Wfq_harness.Open_loop
 module Clock = Wfq_harness.Clock
-module Bks = Wfq_core.Backends
 
-let kp_opt12 () = OL.impl_of_backend (Bks.find "kp-opt12")
+let kp_opt12 () = Wfq_harness.Workload.spec "kp-opt12"
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                              *)
@@ -209,7 +208,7 @@ let test_simulate_no_stall_agrees () =
       let r =
         OL.simulate ~service_ns:500 ~pattern:A.Poisson ~seed:2 ~rate:1e5
           ~events:500
-          (OL.impl_of_backend (Bks.find id))
+          (Wfq_harness.Workload.spec id)
       in
       Alcotest.(check bool) (id ^ " simulated") true
         (r.OL.open_loop.OL.samples = 500))

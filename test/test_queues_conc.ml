@@ -12,12 +12,7 @@
    - the pairs workload never observes an empty queue. *)
 
 module A = Wfq_primitives.Real_atomic
-module Ms = Wfq_core.Ms_queue.Make (A)
-module Kp = Wfq_core.Kp_queue.Make (A)
 module Kp_hp = Wfq_core.Kp_queue_hp.Make (A)
-module Fps = Wfq_core.Kp_queue_fps.Make (A)
-module Lms = Wfq_core.Lms_queue.Make (A)
-module Ring = Wfq_core.Ring_queue.Make (A)
 
 type 'q conc_queue = {
   make : num_threads:int -> 'q;
@@ -28,27 +23,26 @@ type 'q conc_queue = {
 
 type packed = Q : string * 'q conc_queue -> packed
 
+module Bks = Wfq_core.Backends
+module Qi = Wfq_core.Queue_intf
+
+(* A row over a backend spec, through its uniform instance. *)
+let spec_row name spec =
+  let b = Bks.find spec in
+  Q
+    ( name,
+      {
+        make = (fun ~num_threads -> Bks.instantiate b ~num_threads ());
+        enq = (fun i ~tid v -> i.Qi.enq ~tid v);
+        deq = (fun i ~tid -> i.Qi.deq ~tid);
+        len = (fun i -> i.Qi.size ());
+      } )
+
+(* Configurations the registry's default rows below do not cover; the
+   baselines (ms as [lf], lms, two-lock, ...) run there. *)
 let queues =
   [
-    Q
-      ( "ms",
-        {
-          make = (fun ~num_threads -> Ms.create ~num_threads ());
-          enq = (fun q ~tid v -> Ms.enqueue q ~tid v);
-          deq = (fun q ~tid -> Ms.dequeue q ~tid);
-          len = Ms.length;
-        } );
-    Q
-      ( "kp-base",
-        {
-          make =
-            (fun ~num_threads ->
-              Kp.create_with ~help:Wfq_core.Kp_queue.Help_all
-                ~phase:Wfq_core.Kp_queue.Phase_scan ~num_threads ());
-          enq = (fun q ~tid v -> Kp.enqueue q ~tid v);
-          deq = (fun q ~tid -> Kp.dequeue q ~tid);
-          len = Kp.length;
-        } );
+    spec_row "kp-base" "kp-opt12?help=all&phase=scan";
     Q
       ( "kp-hp (tiny pool)",
         {
@@ -64,51 +58,12 @@ let queues =
        keeps falling back under contention (both paths and their
        interaction run constantly). The mostly-fast default budget is
        exercised by the registry-driven rows below. *)
-    Q
-      ( "kp-fps mf=1",
-        {
-          make =
-            (fun ~num_threads ->
-              Fps.create_with ~max_failures:1
-                ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-                ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ());
-          enq = (fun q ~tid v -> Fps.enqueue q ~tid v);
-          deq = (fun q ~tid -> Fps.dequeue q ~tid);
-          len = Fps.length;
-        } );
+    spec_row "kp-fps mf=1" "fps?mf=1";
     (* Bounded ring at the same adversarial budget, capacity sized
        above every workload's peak occupancy (burst-then-drain holds
        8_000 live elements) so [enqueue] never meets a full ring and
        the unbounded-FIFO invariants apply unchanged. *)
-    Q
-      ( "ring mf=1",
-        {
-          make =
-            (fun ~num_threads ->
-              Ring.create_with ~capacity:16_384 ~max_failures:1 ~num_threads
-                ());
-          enq = (fun q ~tid v -> Ring.enqueue q ~tid v);
-          deq = (fun q ~tid -> Ring.dequeue q ~tid);
-          len = Ring.length;
-        } );
-    Q
-      ( "lms",
-        {
-          make = (fun ~num_threads -> Lms.create ~num_threads ());
-          enq = (fun q ~tid v -> Lms.enqueue q ~tid v);
-          deq = (fun q ~tid -> Lms.dequeue q ~tid);
-          len = Lms.length;
-        } );
-    Q
-      ( "two-lock",
-        {
-          make =
-            (fun ~num_threads ->
-              Wfq_core.Two_lock_queue.create ~num_threads ());
-          enq = (fun q ~tid v -> Wfq_core.Two_lock_queue.enqueue q ~tid v);
-          deq = (fun q ~tid -> Wfq_core.Two_lock_queue.dequeue q ~tid);
-          len = Wfq_core.Two_lock_queue.length;
-        } );
+    spec_row "ring mf=1" "ring?capacity=16384&mf=1";
   ]
 
 (* Encode producer and sequence into one int so consumers can check
@@ -258,24 +213,10 @@ let cases = List.concat_map row_cases queues
    QUEUE_BACKEND contract replaces the per-backend plumbing the rows
    above used to hand-maintain for the wait-free backends. A new
    backend joins this battery by registering; nothing here names one. *)
-module Bks = Wfq_core.Backends
-module Qi = Wfq_core.Queue_intf
-
 let registry_cases =
   List.concat_map
     (fun (module Bk : Qi.BACKEND) ->
-      let row =
-        Q
-          ( Bk.id ^ " (registry)",
-            {
-              make =
-                (fun ~num_threads -> Bks.instantiate (module Bk) ~num_threads ());
-              enq = (fun i ~tid v -> i.Qi.enq ~tid v);
-              deq = (fun i ~tid -> i.Qi.deq ~tid);
-              len = (fun i -> i.Qi.size ());
-            } )
-      in
-      row_cases ?cap:Bk.capacity row)
+      row_cases ?cap:Bk.capacity (spec_row (Bk.id ^ " (registry)") Bk.id))
     (Bks.all ())
 
 (* Sim-based linearizability rows for the hazard-pointer variant: the
@@ -582,116 +523,70 @@ let test_diff_fuzz_sim () =
 
 (* --- real domains: thread-safe recording, same checker ------------- *)
 
-type 'q diff_queue = {
-  dmake : num_threads:int -> 'q;
-  denq : 'q -> tid:int -> int -> unit;
-  ddeq : 'q -> tid:int -> int option;
-  denqb : 'q -> tid:int -> int list -> unit;
-  ddeqb : 'q -> tid:int -> n:int -> int list;
-  dcontents : 'q -> int list;
+type diff_queue = {
+  dname : string;
+  dmake : num_threads:int -> int Qi.instance;
   dfifo : bool;
       (* strict global FIFO: judge with the linearizability checker;
          multi-shard front-ends are k-relaxed, so conservation only *)
 }
 
-type dpacked = D : string * 'q diff_queue -> dpacked
+let diff_spec dname spec =
+  let b = Bks.find spec in
+  {
+    dname;
+    dmake = (fun ~num_threads -> Bks.instantiate b ~num_threads ());
+    dfifo = true;
+  }
 
 let diff_queues =
   [
-    D
-      ( "kp-opt12",
-        {
-          dmake =
-            (fun ~num_threads ->
-              Kp.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-                ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ());
-          denq = (fun q ~tid v -> Kp.enqueue q ~tid v);
-          ddeq = (fun q ~tid -> Kp.dequeue q ~tid);
-          denqb = (fun q ~tid vs -> Kp.enqueue_batch q ~tid vs);
-          ddeqb = (fun q ~tid ~n -> Kp.dequeue_batch q ~tid ~n);
-          dcontents = Kp.to_list;
-          dfifo = true;
-        } );
-    D
-      ( "kp-fps mf=1",
-        {
-          dmake =
-            (fun ~num_threads ->
-              Fps.create_with ~max_failures:1
-                ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-                ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ());
-          denq = (fun q ~tid v -> Fps.enqueue q ~tid v);
-          ddeq = (fun q ~tid -> Fps.dequeue q ~tid);
-          denqb = (fun q ~tid vs -> Fps.enqueue_batch q ~tid vs);
-          ddeqb = (fun q ~tid ~n -> Fps.dequeue_batch q ~tid ~n);
-          dcontents = Fps.to_list;
-          dfifo = true;
-        } );
-    D
-      ( "ring mf=1",
-        {
-          dmake =
-            (fun ~num_threads ->
-              Ring.create_with ~capacity:256 ~max_failures:1 ~num_threads ());
-          denq = (fun q ~tid v -> Ring.enqueue q ~tid v);
-          ddeq = (fun q ~tid -> Ring.dequeue q ~tid);
-          denqb = (fun q ~tid vs -> Ring.enqueue_batch q ~tid vs);
-          ddeqb = (fun q ~tid ~n -> Ring.dequeue_batch q ~tid ~n);
-          dcontents = Ring.to_list;
-          dfifo = true;
-        } );
-    D
-      ( "shard strict",
-        {
-          dmake = (fun ~num_threads -> Shard_real.create_strict ~num_threads ());
-          denq = (fun q ~tid v -> Shard_real.enqueue q ~tid v);
-          ddeq = (fun q ~tid -> Shard_real.dequeue q ~tid);
-          denqb = (fun q ~tid vs -> Shard_real.enqueue_batch q ~tid vs);
-          ddeqb = (fun q ~tid ~n -> Shard_real.dequeue_batch q ~tid ~n);
-          dcontents = Shard_real.to_list;
-          dfifo = true;
-        } );
-    D
-      ( "shard tid-affine x4",
-        {
-          dmake =
-            (fun ~num_threads ->
-              Shard_real.create ~policy:Wfq_shard.Shard.Tid_affine ~shards:4
-                ~num_threads ());
-          denq = (fun q ~tid v -> Shard_real.enqueue q ~tid v);
-          ddeq = (fun q ~tid -> Shard_real.dequeue q ~tid);
-          denqb = (fun q ~tid vs -> Shard_real.enqueue_batch q ~tid vs);
-          ddeqb = (fun q ~tid ~n -> Shard_real.dequeue_batch q ~tid ~n);
-          dcontents = Shard_real.to_list;
-          dfifo = false;
-        } );
+    diff_spec "kp-opt12" "kp-opt12";
+    diff_spec "kp-fps mf=1" "fps?mf=1";
+    diff_spec "ring mf=1" "ring?capacity=256&mf=1";
+    {
+      dname = "shard strict";
+      dmake =
+        (fun ~num_threads ->
+          Shard_real.instance (Shard_real.create_strict ~num_threads ()));
+      dfifo = true;
+    };
+    {
+      dname = "shard tid-affine x4";
+      dmake =
+        (fun ~num_threads ->
+          Shard_real.instance
+            (Shard_real.create ~policy:Wfq_shard.Shard.Tid_affine ~shards:4
+               ~num_threads ()));
+      dfifo = false;
+    };
   ]
 
-let run_diff_domains (D (name, b)) seed =
+let run_diff_domains { dname = name; dmake; dfifo } seed =
   let threads = 4 in
   let rng = mk_rng seed in
   let scripts = gen_scripts rng ~threads ~ops:3 ~max_batch:3 in
-  let q = b.dmake ~num_threads:threads in
+  let q = dmake ~num_threads:threads in
   let h = H.create ~thread_safe:true () in
   let worker tid script () =
     List.iter
       (function
         | `Enq v ->
             H.call h ~thread:tid (H.Enq v);
-            b.denq q ~tid v;
+            q.enq ~tid v;
             H.return h ~thread:tid H.Done
         | `Deq -> (
             H.call h ~thread:tid H.Deq;
-            match b.ddeq q ~tid with
+            match q.deq ~tid with
             | Some v -> H.return h ~thread:tid (H.Got v)
             | None -> H.return h ~thread:tid H.Empty)
         | `Enq_batch vs ->
             H.call_batch h ~thread:tid (List.map (fun v -> H.Enq v) vs);
-            b.denqb q ~tid vs;
+            q.enq_batch ~tid vs;
             H.return_batch h ~thread:tid (List.map (fun _ -> H.Done) vs)
         | `Deq_batch want ->
             H.call_batch h ~thread:tid (List.init want (fun _ -> H.Deq));
-            let got = b.ddeqb q ~tid ~n:want in
+            let got = q.deq_batch ~tid ~n:want in
             let rec responses got i =
               if i = want then []
               else
@@ -722,7 +617,7 @@ let run_diff_domains (D (name, b)) seed =
         match c.H.response with H.Got v -> Some v | _ -> None)
       completed
   in
-  let left = b.dcontents q in
+  let left = q.dump () in
   let sort = List.sort compare in
   if sort enqueued <> sort (dequeued @ left) then
     Alcotest.failf "%s seed %d: conservation violated (%d enq, %d deq, %d left)"
@@ -730,23 +625,22 @@ let run_diff_domains (D (name, b)) seed =
       (List.length left);
   (* Part 2 — for strict-FIFO backends, the recorded history must be a
      linearization of the sequential queue model. *)
-  if b.dfifo && not (C.is_linearizable completed) then
+  if dfifo && not (C.is_linearizable completed) then
     Alcotest.failf "%s seed %d: not linearizable:@.%a" name seed C.pp_history
       completed
 
-let test_diff_fuzz_domains (D (dname, _) as d) () =
+let test_diff_fuzz_domains d () =
   for seed = 1 to 5 do
     run_diff_domains d seed
-  done;
-  ignore dname
+  done
 
 let diff_cases =
   Alcotest.test_case "sim: random schedules x lincheck" `Quick
     test_diff_fuzz_sim
   :: List.map
-       (fun (D (name, _) as d) ->
+       (fun d ->
          Alcotest.test_case
-           (name ^ " 4 domains x 5 seeds")
+           (d.dname ^ " 4 domains x 5 seeds")
            `Quick (test_diff_fuzz_domains d))
        diff_queues
 

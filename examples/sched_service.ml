@@ -1,13 +1,13 @@
 (* A miniature service on the effect-based fiber scheduler (Wfq_sched):
-   requests fan out into subfibers that hop through the wait-free
-   run-queues (spawn, yield, await), and the scheduler's metrics
+   requests fan out into subfibers that hop through the scheduler's
+   queues (spawn, yield, await), and the scheduler's metrics
    registry reports what happened — fibers, steals, run-queue depths,
    per-fiber latency.
 
    Unlike examples/task_scheduler.ml, which hand-rolls a ready-pool
    loop over one shared queue, this uses the real scheduler: per-domain
-   run-queues, steal-on-empty sweeps, and direct-style fiber code via
-   effect handlers.
+   private FIFOs, shared wait-free run-queues, steal-on-empty sweeps,
+   and direct-style fiber code via effect handlers.
 
      dune exec examples/sched_service.exe
 *)

@@ -5,9 +5,11 @@
     Each request fiber parses (CPU burn), spawns [fanout] subfibers —
     each of which yields once (a forced run-queue round-trip) and burns
     CPU — awaits them all, then burns CPU again to respond. Every hop
-    (spawn, yield, wakeup) crosses the wait-free run-queues, so request
-    throughput and per-fiber latency measure the backend under its
-    intended load rather than a bare enqueue/dequeue cycle.
+    (spawn, yield, wakeup) goes through the scheduler's queues: the
+    worker's private FIFO, and the wait-free run-queues for the work
+    that moves between workers (published and stolen tasks). Request
+    throughput and per-fiber latency therefore measure the backend
+    under its intended load rather than a bare enqueue/dequeue cycle.
 
     Per-fiber latency comes from the scheduler's own [?obsv] histogram
     (spawn-to-completion, bechamel's raw ns clock); stealing and

@@ -1,30 +1,40 @@
 (* Effect-based fiber scheduler over wait-free run-queues.
 
    N workers (OCaml domains in production, or plain callers of [step]
-   under the deterministic simulator) each own one MPMC run-queue of
-   tasks. A task is a slice of a fiber: either the start of a fresh
-   fiber or a captured continuation to resume. Fibers interact with the
-   scheduler through effects ([Yield], [Spawn], [Await] and the
-   internal [Complete]); the worker executing a slice installs a
-   {e shallow} handler for exactly that slice.
+   under the deterministic simulator) each own two queues of tasks: a
+   private FIFO that only the owner touches, and one MPMC run-queue
+   (the [shared] queue) that other workers steal from. A task is a
+   slice of a fiber: either the start of a fresh fiber or a captured
+   continuation to resume. Fibers interact with the scheduler through
+   effects ([Yield], [Spawn], [Await] and the internal [Complete]); the
+   worker executing a slice installs a {e shallow} handler for exactly
+   that slice.
+
+   Why two queues: every spawn, yield and wakeup is pushed by the
+   worker that performs it, and most are popped by that same worker.
+   Those pushes and pops need no concurrency at all, so they go to a
+   plain array ring. Only work another worker can see goes through the
+   wait-free queue: [submit]ted fibers, and tasks the owner publishes
+   when a thief asks for them (the hunger protocol, at [publish]).
 
    Why shallow handlers: a fiber suspended on this scheduler is resumed
-   by {e whichever} worker dequeues it — usually not the worker that
+   by {e whichever} worker takes it — not necessarily the worker that
    started it. A deep handler is captured inside the continuation, so
    the resuming worker would run the fiber under the {e original}
    worker's handler, and any thread identity closed over in it would be
    stale: two domains would perform queue operations under the same
    [tid], breaking the Kogan-Petrank per-thread state discipline. With
-   shallow handlers every resumption installs a handler freshly
-   constructed by the executing worker, closing over {e its} tid, so
-   the tid used for every run-queue operation is always the operating
-   domain's own. (This also keeps the core simulator-runnable: effects
-   the handler does not recognize — the simulator's yield-per-access
-   effects — are forwarded to the outer handler by returning [None].)
+   shallow handlers every resumption installs the handler of the
+   executing worker, closing over {e its} tid, so the tid used for
+   every run-queue operation is always the operating domain's own.
+   Each worker's handler is built once, in [create]. (This also keeps
+   the core simulator-runnable: effects the handler does not recognize
+   — the simulator's yield-per-access effects — are forwarded to the
+   outer handler by returning [None].)
 
    Progress and termination: [outstanding] counts fibers spawned but
    not yet completed. It is incremented {e before} the fresh task is
-   enqueued and decremented only by [Complete], so [outstanding = 0]
+   queued and decremented only by [Complete], so [outstanding = 0]
    implies no task exists in any queue and none is mid-execution —
    the condition under which [run]'s workers exit. A fiber suspended
    on [Await] sits in no queue, but its own spawn count keeps
@@ -37,7 +47,7 @@
    [Complete] claims the whole waiter list with an exchange. If the
    exchange lands first, the waiter's CAS fails (the cell changed) and
    the awaiter re-reads the completed value — no lost wakeup; if the
-   CAS lands first, the exchange sees the waiter and re-enqueues it.
+   CAS lands first, the exchange sees the waiter and requeues it.
    Both cells live on the [A] functor plane, so DPOR explores exactly
    these interleavings (test_sched.ml litmus). *)
 
@@ -45,7 +55,64 @@ module C = Wfq_obsv.Counter
 module H = Wfq_obsv.Histogram
 module Steal_order = Wfq_shard.Steal_order
 
-module type RUN_QUEUE = Wfq_core.Queue_intf.RUN_QUEUE
+module type RUN_QUEUE = sig
+  include Wfq_core.Queue_intf.RUN_QUEUE
+
+  val try_enqueue_batch : 'a t -> tid:int -> 'a list -> int
+end
+
+(* ------------------------------------------------------------------ *)
+(* Owner-private FIFO                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A growable power-of-two array ring with no synchronisation: one
+   worker pushes and pops it. A flat array, not [Stdlib.Queue]: the
+   linked cells of the latter cost a third of the array's throughput
+   on the fan-out benchmark (EXPERIMENTS.md). Popped slots are reset
+   to [nil] so the ring does not keep finished continuations alive. *)
+module Fifo = struct
+  type 'a t = {
+    mutable buf : 'a array;
+    mutable head : int;
+    mutable len : int;
+    nil : 'a;
+  }
+
+  let create nil = { buf = Array.make 16 nil; head = 0; len = 0; nil }
+  let length f = f.len
+
+  let grow f =
+    let old = f.buf and cap = Array.length f.buf in
+    let buf = Array.make (2 * cap) f.nil in
+    for i = 0 to f.len - 1 do
+      buf.(i) <- old.((f.head + i) land (cap - 1))
+    done;
+    f.buf <- buf;
+    f.head <- 0
+
+  let push f x =
+    if f.len = Array.length f.buf then grow f;
+    f.buf.((f.head + f.len) land (Array.length f.buf - 1)) <- x;
+    f.len <- f.len + 1
+
+  (* The caller checks [length f > 0]. *)
+  let pop f =
+    let x = f.buf.(f.head) in
+    f.buf.(f.head) <- f.nil;
+    f.head <- (f.head + 1) land (Array.length f.buf - 1);
+    f.len <- f.len - 1;
+    x
+
+  (* The oldest [n <= length f] elements, oldest first, left in place. *)
+  let peek f n =
+    let mask = Array.length f.buf - 1 in
+    List.init n (fun i -> f.buf.((f.head + i) land mask))
+
+  let drop f n =
+    for _ = 1 to n do
+      ignore (pop f)
+    done
+end
 
 (* ------------------------------------------------------------------ *)
 (* Observability handle                                               *)
@@ -114,6 +181,8 @@ end
 module Make
     (A : Wfq_primitives.Atomic_intf.ATOMIC)
     (Q : RUN_QUEUE) : S = struct
+  module P = Wfq_primitives.Padded.Make (A)
+
   (* A fiber's overall computation always has type [unit]: user bodies
      are wrapped to deliver their value (or exception) to the fiber's
      promise via [Complete], so every captured continuation is a
@@ -143,47 +212,41 @@ module Make
     | Await : 'a promise -> 'a Effect.t
     | Spawn : (unit -> 'a) -> 'a pbox Effect.t
     | Spawn_many : (unit -> 'a) list -> 'a pbox list Effect.t
-          (** fan-out: all fresh tasks pushed with one run-queue batch *)
+          (** fan-out: all fresh tasks pushed in body order *)
     | Complete : 'a promise * ('a, exn) result * int -> unit Effect.t
           (** internal: fiber body finished; the [int] is its spawn
               timestamp for the latency histogram *)
 
+  type worker = {
+    shared : task Q.t;
+        (** submitted and published tasks; the queue thieves sweep *)
+    fifo : task Fifo.t;  (** owner-private: spawns, yields, wakeups *)
+    mutable shared_maybe : bool;
+        (** owner's hint: [false] only when [shared] is surely empty.
+            Only the owner adds to [shared], so an empty dequeue by the
+            owner stays true until its next add. *)
+    hungry : bool P.t;  (** raised by a thief whose sweep found nothing *)
+  }
+
   type t = {
     workers : int;
-    queues : task Q.t array;  (** run-queue [i] is worker [i]'s *)
+    worker : worker array;  (** worker [i]'s queues *)
+    handlers : (unit, unit) Effect.Shallow.handler array;
+        (** worker [i]'s slice handler, closing over tid [i] *)
     outstanding : int A.t;  (** fibers spawned and not yet completed *)
     (* Always-on single-writer stats, indexed by the executing tid. *)
     spawned : C.t;
     completed : C.t;
     steal_attempts : C.t;  (** empty-local-queue sweeps entered *)
     steals_won : C.t;  (** tasks taken from another worker's queue *)
-    rq_push : C.t array;  (** per queue: tasks pushed, by pusher tid *)
-    rq_take : C.t array;  (** per queue: tasks taken, by taker tid *)
+    published : C.t;  (** tasks moved from a private FIFO to [shared] *)
+    rq_push : C.t array;  (** per worker: tasks queued, by pusher tid *)
+    rq_take : C.t array;  (** per worker: tasks taken, by taker tid *)
     obsv : metrics option;
     clock : (unit -> int) option;  (** monotonic ns for fiber latency *)
   }
 
   let name = "sched(" ^ Q.name ^ ")"
-
-  let create ?obsv ?clock ~num_workers () =
-    if num_workers <= 0 then invalid_arg "Sched.create: num_workers";
-    let counter () = C.create ~slots:num_workers () in
-    {
-      workers = num_workers;
-      queues =
-        Array.init num_workers (fun _ ->
-            Q.create ~num_threads:num_workers ());
-      outstanding = A.make 0;
-      spawned = counter ();
-      completed = counter ();
-      steal_attempts = counter ();
-      steals_won = counter ();
-      rq_push = Array.init num_workers (fun _ -> counter ());
-      rq_take = Array.init num_workers (fun _ -> counter ());
-      obsv;
-      clock;
-    }
-
   let num_workers t = t.workers
   let now t = match t.clock with Some f -> f () | None -> 0
   let pending_fibers t = A.get t.outstanding
@@ -198,80 +261,78 @@ module Make
 
   (* --- task plumbing ---------------------------------------------- *)
 
-  (* All pushes are local (to the pushing worker's own queue): spawns,
-     yields and wakeups land where they happened, and redistribution is
-     the stealers' job — the classic work-stealing locality split. *)
-  let push_local t ~tid task =
-    Q.enqueue t.queues.(tid) ~tid task;
-    C.incr t.rq_push.(tid) ~slot:tid;
+  (* Account [k] tasks queued on [tid]'s queues (private or shared).
+     The depth sample is approximate, from the push/take counters: two
+     plain sums over [workers] padded cells — no atomic traffic. *)
+  let pushed t ~tid k =
+    C.add t.rq_push.(tid) ~slot:tid k;
     match t.obsv with
-    | Some m ->
-        (* Approximate depth from the push/take counters: two plain
-           sums over [workers] padded cells — no atomic traffic, cheap
-           next to the enqueue itself. *)
-        let d = C.total t.rq_push.(tid) - C.total t.rq_take.(tid) in
-        H.record m.m_depth ~slot:tid (max d 0)
+    | Some m -> H.record m.m_depth ~slot:tid (max (run_queue_depth t tid) 0)
     | None -> ()
 
-  (* Fan-out counterpart of [push_local]: one backend-native run-queue
-     batch covers every task (docs/BATCHING.md) — on the KP-family
-     backends the whole fan-out linearizes at a single append CAS. *)
-  let push_local_batch t ~tid tasks =
-    match tasks with
-    | [] -> ()
-    | tasks ->
-        let k = List.length tasks in
-        Q.enqueue_batch t.queues.(tid) ~tid tasks;
-        C.add t.rq_push.(tid) ~slot:tid k;
-        (match t.obsv with
-        | Some m ->
-            let d = C.total t.rq_push.(tid) - C.total t.rq_take.(tid) in
-            H.record m.m_depth ~slot:tid (max d 0)
-        | None -> ())
+  (* Spawns, yields and wakeups land on the pushing worker's private
+     FIFO; redistribution is the hunger protocol's job. *)
+  let push_private t ~tid task =
+    Fifo.push t.worker.(tid).fifo task;
+    pushed t ~tid 1
+
+  (* Submitted tasks go to the shared queue so that any worker can
+     start them. A bounded queue's refused suffix spills to the private
+     FIFO — the submitter owns [tid]'s slot, so that is safe — and
+     keeps its order behind the accepted prefix, which [step] serves
+     first. *)
+  let push_shared t ~tid tasks =
+    let w = t.worker.(tid) in
+    let accepted = Q.try_enqueue_batch w.shared ~tid tasks in
+    if accepted > 0 then w.shared_maybe <- true;
+    List.iteri (fun i task -> if i >= accepted then Fifo.push w.fifo task) tasks;
+    pushed t ~tid (List.length tasks)
 
   let wrap_body pr t0 f () =
     let r = match f () with v -> Ok v | exception e -> Error e in
     Effect.perform (Complete (pr, r, t0))
 
-  (* Spawn accounting order matters: [outstanding] rises before the
-     task becomes visible, so a worker can never observe an empty
-     system ([outstanding = 0]) while a runnable task exists. *)
-  let spawn_into t ~tid f =
-    ignore (A.fetch_and_add t.outstanding 1 : int);
-    C.incr t.spawned ~slot:tid;
+  (* Spawn accounting order matters: [outstanding] rises by the whole
+     fan-out before any of its tasks becomes visible, so a worker can
+     never observe an empty system ([outstanding = 0]) while a runnable
+     task exists. *)
+  let account t ~tid k =
+    ignore (A.fetch_and_add t.outstanding k : int);
+    C.add t.spawned ~slot:tid k
+
+  let fresh t0 f =
     let pr = A.make (Pending []) in
-    push_local t ~tid (Fresh (wrap_body pr (now t) f));
-    pr
+    (pr, Fresh (wrap_body pr t0 f))
 
-  (* Batch spawn: the whole fan-out is accounted (outstanding up by
-     [k] first, same visibility argument as [spawn_into]) and then
-     pushed as one run-queue batch. *)
   let spawn_many_into t ~tid fs =
-    match fs with
-    | [] -> []
-    | [ f ] -> [ spawn_into t ~tid f ]
-    | fs ->
-        let k = List.length fs in
-        ignore (A.fetch_and_add t.outstanding k : int);
-        C.add t.spawned ~slot:tid k;
-        let t0 = now t in
-        let entries =
-          List.map
-            (fun f ->
-              let pr = A.make (Pending []) in
-              (pr, Fresh (wrap_body pr t0 f)))
-            fs
-        in
-        push_local_batch t ~tid (List.map snd entries);
-        List.map fst entries
+    let k = List.length fs in
+    account t ~tid k;
+    let t0 = now t and fifo = t.worker.(tid).fifo in
+    let prs =
+      List.map
+        (fun f ->
+          let pr, task = fresh t0 f in
+          Fifo.push fifo task;
+          pr)
+        fs
+    in
+    pushed t ~tid k;
+    prs
 
-  let submit t ~tid f =
-    if tid < 0 || tid >= t.workers then invalid_arg "Sched.submit: tid";
-    spawn_into t ~tid f
+  let spawn_into t ~tid f = List.hd (spawn_many_into t ~tid [ f ])
 
   let submit_batch t ~tid fs =
-    if tid < 0 || tid >= t.workers then invalid_arg "Sched.submit_batch: tid";
-    spawn_many_into t ~tid fs
+    if tid < 0 || tid >= t.workers then invalid_arg "Sched.submit: tid";
+    match fs with
+    | [] -> []
+    | fs ->
+        account t ~tid (List.length fs);
+        let t0 = now t in
+        let entries = List.map (fresh t0) fs in
+        push_shared t ~tid (List.map snd entries);
+        List.map fst entries
+
+  let submit t ~tid f = List.hd (submit_batch t ~tid [ f ])
 
   let result p =
     match A.get p with Completed r -> Some r | Pending _ -> None
@@ -286,15 +347,12 @@ module Make
    fun t ~tid pr r t0 ->
     (match A.exchange pr (Completed r) with
     | Pending waiters ->
-        (* Wake every waiter with one run-queue batch, FIFO order
-           (waiters are stored most recent first). *)
-        push_local_batch t ~tid
-          (List.rev_map
-             (fun k ->
-               match r with
-               | Ok v -> Resume (k, v)
-               | Error e -> Cancel (k, e))
-             waiters)
+        (* Waiters are stored most recent first; wake them FIFO. *)
+        List.iter
+          (fun k ->
+            push_private t ~tid
+              (match r with Ok v -> Resume (k, v) | Error e -> Cancel (k, e)))
+          (List.rev waiters)
     | Completed _ ->
         (* A promise is completed exactly once, by its own fiber. *)
         assert false);
@@ -304,100 +362,176 @@ module Make
     | _ -> ());
     ignore (A.fetch_and_add t.outstanding (-1) : int)
 
-  (* --- the per-slice handler -------------------------------------- *)
+  (* --- the per-worker handler ------------------------------------- *)
 
-  let rec handler : t -> tid:int -> (unit, unit) Effect.Shallow.handler =
-   fun t ~tid ->
-    {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type c) (eff : c Effect.t) ->
-          match eff with
-          | Yield ->
-              Some
-                (fun (k : (c, unit) Effect.Shallow.continuation) ->
-                  push_local t ~tid (Resume (k, ())))
-          | Spawn f ->
-              Some
-                (fun k ->
-                  let pr = spawn_into t ~tid f in
-                  Effect.Shallow.continue_with k (Prom pr) (handler t ~tid))
-          | Spawn_many fs ->
-              Some
-                (fun k ->
-                  let prs = spawn_many_into t ~tid fs in
-                  Effect.Shallow.continue_with k
-                    (List.map (fun p -> Prom p) prs)
-                    (handler t ~tid))
-          | Await p -> Some (fun k -> await_with t ~tid p k)
-          | Complete (pr, r, t0) ->
-              Some
-                (fun k ->
-                  complete t ~tid pr r t0;
-                  Effect.Shallow.continue_with k () (handler t ~tid))
-          | _ -> None (* forward (e.g. the simulator's yields) *));
-    }
-
-  and await_with : type a. t -> tid:int -> a promise
-      -> (a, unit) Effect.Shallow.continuation -> unit =
-   fun t ~tid p k ->
+  let rec await_with : type a. (unit, unit) Effect.Shallow.handler
+      -> a promise -> (a, unit) Effect.Shallow.continuation -> unit =
+   fun h p k ->
     match A.get p with
-    | Completed (Ok v) ->
-        Effect.Shallow.continue_with k v (handler t ~tid)
-    | Completed (Error e) ->
-        Effect.Shallow.discontinue_with k e (handler t ~tid)
+    | Completed (Ok v) -> Effect.Shallow.continue_with k v h
+    | Completed (Error e) -> Effect.Shallow.discontinue_with k e h
     | Pending waiters as old ->
         if A.compare_and_set p old (Pending (k :: waiters)) then ()
           (* Suspended: the completing fiber now owns the wakeup. *)
-        else await_with t ~tid p k
+        else await_with h p k
+
+  let handler t ~tid : (unit, unit) Effect.Shallow.handler =
+    let rec h =
+      {
+        Effect.Shallow.retc = (fun () -> ());
+        exnc = (fun e -> raise e);
+        effc =
+          (fun (type c) (eff : c Effect.t) ->
+            match eff with
+            | Yield ->
+                Some
+                  (fun (k : (c, unit) Effect.Shallow.continuation) ->
+                    push_private t ~tid (Resume (k, ())))
+            | Spawn f ->
+                Some
+                  (fun k ->
+                    Effect.Shallow.continue_with k
+                      (Prom (spawn_into t ~tid f))
+                      h)
+            | Spawn_many fs ->
+                Some
+                  (fun k ->
+                    let prs = spawn_many_into t ~tid fs in
+                    Effect.Shallow.continue_with k
+                      (List.map (fun p -> Prom p) prs)
+                      h)
+            | Await p -> Some (fun k -> await_with h p k)
+            | Complete (pr, r, t0) ->
+                Some
+                  (fun k ->
+                    complete t ~tid pr r t0;
+                    Effect.Shallow.continue_with k () h)
+            | _ -> None (* forward (e.g. the simulator's yields) *));
+      }
+    in
+    h
+
+  let create ?obsv ?clock ~num_workers () =
+    if num_workers <= 0 then invalid_arg "Sched.create: num_workers";
+    let counter () = C.create ~slots:num_workers () in
+    let nil = Fresh ignore in
+    let t =
+      {
+        workers = num_workers;
+        worker =
+          Array.init num_workers (fun _ ->
+              {
+                shared = Q.create ~num_threads:num_workers ();
+                fifo = Fifo.create nil;
+                shared_maybe = false;
+                hungry = P.make false;
+              });
+        handlers =
+          Array.make num_workers
+            { Effect.Shallow.retc = ignore; exnc = raise; effc = (fun _ -> None) };
+        outstanding = A.make 0;
+        spawned = counter ();
+        completed = counter ();
+        steal_attempts = counter ();
+        steals_won = counter ();
+        published = counter ();
+        rq_push = Array.init num_workers (fun _ -> counter ());
+        rq_take = Array.init num_workers (fun _ -> counter ());
+        obsv;
+        clock;
+      }
+    in
+    Array.iteri (fun tid _ -> t.handlers.(tid) <- handler t ~tid) t.handlers;
+    t
 
   let exec t ~tid task =
+    let h = t.handlers.(tid) in
     match task with
     | Fresh body ->
-        Effect.Shallow.continue_with (Effect.Shallow.fiber body) ()
-          (handler t ~tid)
-    | Resume (k, v) -> Effect.Shallow.continue_with k v (handler t ~tid)
-    | Cancel (k, e) -> Effect.Shallow.discontinue_with k e (handler t ~tid)
+        Effect.Shallow.continue_with (Effect.Shallow.fiber body) () h
+    | Resume (k, v) -> Effect.Shallow.continue_with k v h
+    | Cancel (k, e) -> Effect.Shallow.discontinue_with k e h
+
+  (* --- the hunger protocol ----------------------------------------- *)
+
+  (* A thief whose sweep found nothing raised [hungry] on its victims.
+     The owner answers at its next step: it publishes the oldest half
+     of its private FIFO to its shared queue with one batch. The batch
+     is peeked, not popped, so a bounded queue's refused suffix simply
+     stays at the head of the FIFO. With fewer than two private tasks
+     there is nothing to share — the owner runs the last one itself —
+     and the flag stays up for a later step. *)
+  let publish t ~tid =
+    let w = t.worker.(tid) in
+    let n = Fifo.length w.fifo in
+    if n >= 2 && P.get w.hungry then begin
+      P.set w.hungry false;
+      let batch = Fifo.peek w.fifo (n / 2) in
+      let accepted = Q.try_enqueue_batch w.shared ~tid batch in
+      Fifo.drop w.fifo accepted;
+      if accepted > 0 then begin
+        w.shared_maybe <- true;
+        C.add t.published ~slot:tid accepted
+      end
+    end
+
+  (* Read first, write only if clear: an idle thief re-sweeps often,
+     and a store per sweep would bounce the victim's cache line. *)
+  let raise_hunger t ~tid =
+    Array.iteri
+      (fun v w -> if v <> tid && not (P.get w.hungry) then P.set w.hungry true)
+      t.worker
 
   (* --- taking work ------------------------------------------------- *)
 
-  (* Own queue first; on empty, one {!Steal_order} lap over the other
-     workers' queues, with the same [is_empty] pre-check discipline as
-     the shard sweep (most swept queues are empty; a full dequeue on an
+  (* One steal lap in {!Steal_order} over the other workers' shared
+     queues, with the same [is_empty] pre-check discipline as the
+     shard sweep (most swept queues are empty; a full dequeue on an
      empty KP queue still runs the phase/descriptor ceremony). *)
-  let take t ~tid =
-    match Q.dequeue t.queues.(tid) ~tid with
-    | Some _ as r ->
-        C.incr t.rq_take.(tid) ~slot:tid;
-        r
-    | None ->
-        let n = t.workers in
-        if n = 1 then None
-        else begin
-          C.incr t.steal_attempts ~slot:tid;
-          let rec sweep i =
-            if i = n then None
-            else
-              let v = Steal_order.visit ~n ~start:tid i in
-              if Q.is_empty t.queues.(v) then sweep (i + 1)
-              else
-                match Q.dequeue t.queues.(v) ~tid with
-                | Some _ as r ->
-                    C.incr t.rq_take.(v) ~slot:tid;
-                    C.incr t.steals_won ~slot:tid;
-                    r
-                | None -> sweep (i + 1)
-          in
-          sweep 1
-        end
+  let steal t ~tid =
+    let n = t.workers in
+    C.incr t.steal_attempts ~slot:tid;
+    let rec sweep i =
+      if i = n then begin
+        raise_hunger t ~tid;
+        false
+      end
+      else
+        let v = Steal_order.visit ~n ~start:tid i in
+        let q = t.worker.(v).shared in
+        if Q.is_empty q then sweep (i + 1)
+        else
+          match Q.dequeue q ~tid with
+          | Some task ->
+              C.incr t.rq_take.(v) ~slot:tid;
+              C.incr t.steals_won ~slot:tid;
+              exec t ~tid task;
+              true
+          | None -> sweep (i + 1)
+    in
+    sweep 1
 
+  (* The shared queue first while it is non-empty, then the private
+     FIFO, then one steal lap. Submitted and published tasks are older
+     than what the owner queued privately since, so at one worker the
+     order is exactly FIFO. *)
   let step t ~tid =
-    match take t ~tid with
+    publish t ~tid;
+    let w = t.worker.(tid) in
+    match if w.shared_maybe then Q.dequeue w.shared ~tid else None with
     | Some task ->
+        C.incr t.rq_take.(tid) ~slot:tid;
         exec t ~tid task;
         true
-    | None -> false
+    | None ->
+        (* Written only on a change: thieves read this record. *)
+        if w.shared_maybe then w.shared_maybe <- false;
+        if Fifo.length w.fifo > 0 then begin
+          C.incr t.rq_take.(tid) ~slot:tid;
+          exec t ~tid (Fifo.pop w.fifo);
+          true
+        end
+        else t.workers > 1 && steal t ~tid
 
   let drain t ~tid =
     let rec go n = if step t ~tid then go (n + 1) else n in
@@ -418,9 +552,10 @@ module Make
   (* --- parallel runner --------------------------------------------- *)
 
   (* Work until the system is empty: a failed take with [outstanding]
-     still positive means some fiber is mid-execution on another worker
-     or suspended on a promise a running fiber will complete — back
-     off and retry. [outstanding = 0] is stable (only fibers create
+     still positive means some fiber is mid-execution on another worker,
+     queued privately there, or suspended on a promise a running fiber
+     will complete — back off and retry (each failed sweep has raised
+     the hunger flags). [outstanding = 0] is stable (only fibers create
      fibers, and external submits are the caller's responsibility), so
      exiting is safe.
 
@@ -431,7 +566,7 @@ module Make
      steal sweep geometrically less often — steal_attempts drops by an
      order of magnitude on imbalanced workloads (BENCH_sched.json) —
      while the clamp keeps the worst extra wake-up latency at one
-     bounded spin, leaving fiber p99 unchanged. *)
+     bounded spin. *)
   let worker_loop t ~tid =
     let b = Wfq_primitives.Backoff.create () in
     let rec go () =
@@ -466,31 +601,30 @@ module Make
 
   let register_metrics t registry ~prefix =
     let open Wfq_obsv in
-    Metrics.register registry
-      (prefix ^ ".fibers_spawned")
-      (Metrics.Counter t.spawned);
-    Metrics.register registry
-      (prefix ^ ".fibers_completed")
-      (Metrics.Counter t.completed);
-    Metrics.register registry
-      (prefix ^ ".steal_attempts")
-      (Metrics.Counter t.steal_attempts);
-    Metrics.register registry (prefix ^ ".steals_won")
-      (Metrics.Counter t.steals_won);
+    List.iter
+      (fun (n, c) -> Metrics.register registry (prefix ^ n) (Metrics.Counter c))
+      [
+        (".fibers_spawned", t.spawned);
+        (".fibers_completed", t.completed);
+        (".steal_attempts", t.steal_attempts);
+        (".steals_won", t.steals_won);
+        (".published", t.published);
+      ];
     Metrics.gauge registry
       ~name:(prefix ^ ".pending_fibers")
       (fun () -> pending_fibers t);
     Array.iteri
-      (fun i q ->
+      (fun i w ->
         let p = Printf.sprintf "%s.rq%d" prefix i in
         Metrics.register registry (p ^ ".pushes")
           (Metrics.Counter t.rq_push.(i));
         Metrics.register registry (p ^ ".takes")
           (Metrics.Counter t.rq_take.(i));
-        (* The uniform RUN_QUEUE hook: every backend contributes at
-           least its depth gauge here, plus its own diagnostics. *)
-        Q.register_metrics q registry ~prefix:p)
-      t.queues
+        (* The uniform RUN_QUEUE hook on the shared queue: every
+           backend contributes at least its depth gauge here, plus its
+           own diagnostics. *)
+        Q.register_metrics w.shared registry ~prefix:p)
+      t.worker
 end
 
 (* ------------------------------------------------------------------ *)
@@ -498,7 +632,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* The shard front-end is not a registry entry, so it keeps its own
-   adapter: two round-robin shards of opt-(1+2) KP. *)
+   adapter: two round-robin shards of opt-(1+2) KP. Those shards are
+   unbounded, so every insert is accepted. *)
 
 module Rq_shard (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE = struct
   module Sh = Wfq_shard.Shard.Make (A)
@@ -508,6 +643,10 @@ module Rq_shard (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE = struct
 
   let create ~num_threads () =
     Sh.create ~policy:Wfq_shard.Shard.Round_robin ~shards:2 ~num_threads ()
+
+  let try_enqueue_batch q ~tid xs =
+    Sh.enqueue_batch q ~tid xs;
+    List.length xs
 end
 
 (* The registry route: any {!Wfq_core.Queue_intf.BACKEND} as a

@@ -5,16 +5,22 @@
       the run-queue's FIFO order, so spawn/yield/await orderings, the
       await fast path, exception routing and fiber-count conservation
       are all pinned exactly.
-   2. Real parallel runs: [run] at 4 domains with conservation checks,
-      and the deterministic 3-worker steal test pinning that an idle
-      worker's sweep visits victims in {!Wfq_shard.Steal_order} order.
+   2. Stealing: the deterministic 3-worker steal test pinning that an
+      idle worker's sweep visits victims in {!Wfq_shard.Steal_order}
+      order, the hunger protocol step by step (a failed lap raises the
+      flag, the owner publishes the oldest half of its private FIFO,
+      the thief steals), real parallel runs at 4 domains with
+      conservation checks, and a 64-slot ring run-queue fanned out to
+      10x its capacity, which must never let [Ring_full] escape.
    3. The simulator plane: the same functor instantiated over
       [Sim_atomic], first deterministically (forwarding of the sim's
       yield-per-access effects through the scheduler's shallow
-      handlers), then DPOR litmuses for the two racy hand-offs the
+      handlers), then DPOR litmuses for the racy hand-offs the
       scheduler adds on top of the queues — steal (two workers racing
-      to dequeue the same fiber) and spawn/await/complete (waiter CAS
-      vs completion exchange). No fiber may be lost or run twice. *)
+      to dequeue the same fiber), publish vs steal (the owner answering
+      a hunger flag while a thief sweeps), and spawn/await/complete
+      (waiter CAS vs completion exchange), on one worker and across
+      two. No fiber may be lost or run twice. *)
 
 module A = Wfq_primitives.Real_atomic
 module SA = Wfq_sim.Sim_atomic
@@ -32,7 +38,11 @@ module Kp_sched = Sched.Make (A) (Sched.Rq_of (Kp) (A))
 module Fps_sched = Sched.Make (A) (Sched.Rq_of (Fps_pooled) (A))
 module Shard_sched = Sched.Make (A) (Sched.Rq_shard (A))
 module Sim_sched = Sched.Make (SA) (Sched.Rq_of (Kp) (SA))
+module Ring8 = (val Wfq_core.Backends.find "ring?capacity=8")
+module Sim_ring_sched = Sched.Make (SA) (Sched.Rq_of (Ring8) (SA))
 module Poly_sched = Sched.Make (A) (Sched.Rq_of (Poly_backend) (A))
+module Ring64 = (val Wfq_core.Backends.find "ring?capacity=64")
+module Ring_sched = Sched.Make (A) (Sched.Rq_of (Ring64) (A))
 
 exception Boom
 
@@ -212,6 +222,96 @@ let test_steal_follows_steal_order () =
   (* 3 attempts: the two winning sweeps plus the final idle one. *)
   Alcotest.(check int) "three sweeps entered" 3 (Kp_sched.steal_attempts t)
 
+(* The hunger protocol, one step at a time. A parent on worker 0 fans
+   out 4 children into its private FIFO, where worker 1 cannot see
+   them. Worker 1's failed lap raises worker 0's hunger flag; worker
+   0's next step publishes the 2 oldest children to its shared queue
+   and runs the oldest itself (shared queue first); worker 1's next
+   lap steals the other published one. *)
+let test_hunger_protocol () =
+  let module K = Kp_sched in
+  let t = K.create ~num_workers:2 () in
+  let reg = M.create () in
+  K.register_metrics t reg ~prefix:"sched";
+  let published () = M.value reg "sched.published" in
+  let trace = ref [] in
+  let _ =
+    K.submit t ~tid:0 (fun () ->
+        ignore
+          (K.spawn_many
+             (List.init 4 (fun i () -> trace := i :: !trace))
+            : unit K.promise list))
+  in
+  Alcotest.(check bool) "worker 0 runs the parent" true (K.step t ~tid:0);
+  Alcotest.(check int) "4 private tasks on worker 0" 4 (K.run_queue_depth t 0);
+  Alcotest.(check bool) "worker 1's lap finds nothing" false (K.step t ~tid:1);
+  Alcotest.(check (option int)) "nothing published yet" (Some 0) (published ());
+  Alcotest.(check bool) "worker 0 steps" true (K.step t ~tid:0);
+  Alcotest.(check (option int)) "the 2 oldest published" (Some 2) (published ());
+  Alcotest.(check (list int)) "worker 0 ran the oldest" [ 0 ] (List.rev !trace);
+  Alcotest.(check bool) "worker 1 steals" true (K.step t ~tid:1);
+  Alcotest.(check (list int))
+    "worker 1 stole the next oldest" [ 0; 1 ] (List.rev !trace);
+  Alcotest.(check int) "one steal won" 1 (K.steals_won t);
+  Alcotest.(check int) "worker 0 runs the rest" 2 (K.drain t ~tid:0);
+  Alcotest.(check (list int)) "all four, in order" [ 0; 1; 2; 3 ]
+    (List.rev !trace);
+  Alcotest.(check int) "none pending" 0 (K.pending_fibers t);
+  Alcotest.(check (list int)) "queues drained" [ 0; 0 ]
+    [ K.run_queue_depth t 0; K.run_queue_depth t 1 ]
+
+(* A 64-slot ring run-queue fanned out to 10x its capacity. Neither a
+   [submit_batch] that overflows the ring (the refused suffix spills
+   to the private FIFO) nor a publication larger than the ring (the
+   refused suffix stays private) may raise; every fiber must run
+   once, with the right answer. *)
+let test_full_ring_never_raises () =
+  let module R = Ring_sched in
+  let n = 640 in
+  let bodies f = List.init n (fun i () -> R.yield (); f i) in
+  (* 1 worker: submit spill. *)
+  let t = R.create ~num_workers:1 () in
+  let prs = R.submit_batch t ~tid:0 (bodies (fun i -> i * i)) in
+  ignore (R.drain t ~tid:0 : int);
+  List.iteri
+    (fun i p ->
+      if R.result p <> Some (Ok (i * i)) then
+        Alcotest.failf "submitted task %d: wrong or missing answer" i)
+    prs;
+  Alcotest.(check int) "1 worker: all completed" n (R.fibers_completed t);
+  Alcotest.(check int) "1 worker: none pending" 0 (R.pending_fibers t);
+  (* 2 workers, stepped by hand: a publication of n/2 tasks meets a
+     64-slot ring. *)
+  let t = R.create ~num_workers:2 () in
+  let reg = M.create () in
+  R.register_metrics t reg ~prefix:"sched";
+  let main =
+    R.submit t ~tid:0 (fun () ->
+        List.fold_left ( + ) 0 (List.map R.await (R.spawn_many (bodies Fun.id))))
+  in
+  ignore (R.step t ~tid:0 : bool);
+  ignore (R.step t ~tid:1 : bool);
+  ignore (R.step t ~tid:0 : bool);
+  Alcotest.(check (option int)) "publication capped by the ring" (Some 64)
+    (M.value reg "sched.published");
+  let rec drain_all () =
+    if R.drain t ~tid:0 + R.drain t ~tid:1 > 0 then drain_all ()
+  in
+  drain_all ();
+  Alcotest.(check bool) "stepped: fan-out sum" true
+    (R.result main = Some (Ok (n * (n - 1) / 2)));
+  Alcotest.(check int) "stepped: none pending" 0 (R.pending_fibers t);
+  (* 2 domains: the same fan-out under [run]. *)
+  let t = R.create ~num_workers:2 () in
+  let total =
+    R.run t (fun () ->
+        List.fold_left ( + ) 0 (List.map R.await (R.spawn_many (bodies Fun.id))))
+  in
+  Alcotest.(check int) "2 domains: fan-out sum" (n * (n - 1) / 2) total;
+  Alcotest.(check int) "2 domains: all spawned" (n + 1) (R.fibers_spawned t);
+  Alcotest.(check int) "2 domains: all completed" (n + 1) (R.fibers_completed t);
+  Alcotest.(check int) "2 domains: none pending" 0 (R.pending_fibers t)
+
 let test_multidomain_stress () =
   (* 4 domains over the pooled fast-path/slow-path backend: a 32-wide
      fan-out with a yield inside each subfiber, summed by awaits.
@@ -266,6 +366,7 @@ let test_metrics_dump_uniform () =
           "sched.fibers_completed";
           "sched.steal_attempts";
           "sched.steals_won";
+          "sched.published";
           "sched.pending_fibers";
         ];
       for i = 0 to 1 do
@@ -391,10 +492,78 @@ let test_dpor_steal_handoff () =
   Alcotest.(check bool) "trace space exhausted" true r.E.exhausted;
   Alcotest.(check bool) "non-trivial exploration" true (r.E.schedules > 1)
 
-(* DPOR litmus 2 — spawn/await/complete hand-off. Worker 0 starts a
+(* Quiescent completion for the litmus checks: a worker's private FIFO
+   is reachable only through its own steps, so every worker is drained
+   until none makes progress. *)
+let drain_all (type t) (module K : Sched.S with type t = t) (t : t) =
+  let rec go () =
+    let n = ref 0 in
+    for tid = 0 to K.num_workers t - 1 do
+      n := !n + K.drain t ~tid
+    done;
+    if !n > 0 then go ()
+  in
+  go ()
+
+let stepper (type t) (module K : Sched.S with type t = t) (t : t) tid steps () =
+  for _ = 1 to steps do
+    ignore (K.step t ~tid : bool)
+  done
+
+(* DPOR litmus 2 — publish vs steal. Worker 0 holds 4 children in its
+   private FIFO and its hunger flag is up (setup: the parent's slice,
+   then worker 1's failed lap). Worker 0's step publishes the 2 oldest
+   with one batch and takes from its shared queue, racing worker 1's
+   sweep over that same queue. Every child must run exactly once, and
+   at least the 2 tasks of the answered flag are published (draining
+   may publish more). The run-queue is the ring: over KP the batch
+   insert and two racing dequeues are past 3M schedules unexhausted,
+   while the ring's scenario exhausts in under a hundred. *)
+let publish_litmus_make () =
+  let t = Sim_ring_sched.create ~num_workers:2 () in
+  let reg = M.create () in
+  let hits = Array.make 4 0 in
+  S.ignore_yields (fun () ->
+      Sim_ring_sched.register_metrics t reg ~prefix:"sched";
+      let _ =
+        Sim_ring_sched.submit t ~tid:0 (fun () ->
+            ignore
+              (Sim_ring_sched.spawn_many
+                 (List.init 4 (fun i () -> hits.(i) <- hits.(i) + 1))
+                : unit Sim_ring_sched.promise list))
+      in
+      ignore (Sim_ring_sched.step t ~tid:0 : bool);
+      ignore (Sim_ring_sched.step t ~tid:1 : bool));
+  let check (_ : S.result) =
+    S.ignore_yields (fun () ->
+        drain_all (module Sim_ring_sched) t;
+        if Array.exists (fun h -> h <> 1) hits then
+          Error
+            (Printf.sprintf "children ran [%s] times"
+               (String.concat "; "
+                  (Array.to_list (Array.map string_of_int hits))))
+        else if Option.value ~default:0 (M.value reg "sched.published") < 2
+        then Error "the hunger flag was not answered with 2 tasks"
+        else if Sim_ring_sched.pending_fibers t <> 0 then Error "fiber lost"
+        else if Sim_ring_sched.fibers_completed t <> 5 then
+          Error "completion miscount"
+        else Ok ())
+  in
+  let step tid = stepper (module Sim_ring_sched) t tid 1 in
+  ([| step 0; step 1 |], check)
+
+let test_dpor_publish_steal () =
+  let r = E.dpor ~max_schedules:200_000 ~make:publish_litmus_make () in
+  (match r.E.failure with
+  | None -> ()
+  | Some (_, m) -> Alcotest.failf "publish/steal violation: %s" m);
+  Alcotest.(check bool) "trace space exhausted" true r.E.exhausted;
+  Alcotest.(check bool) "non-trivial exploration" true (r.E.schedules > 1)
+
+(* DPOR litmus 3 — spawn/await/complete hand-off. Worker 0 starts a
    parent that spawns a child and awaits it; worker 1 races to steal
-   the child (or the parent's wakeup). Explores the waiter-CAS vs
-   completion-exchange race on the promise cell: no lost wakeup, no
+   the parent (or, once published, the child). Explores the waiter-CAS
+   vs completion-exchange race on the promise cell: no lost wakeup, no
    double resume. *)
 let await_litmus_make () =
   let t = Sim_sched.create ~num_workers:2 () in
@@ -405,14 +574,9 @@ let await_litmus_make () =
             let c = Sim_sched.spawn (fun () -> 7) in
             got := Sim_sched.await c))
   in
-  let worker tid steps () =
-    for _ = 1 to steps do
-      ignore (Sim_sched.step t ~tid : bool)
-    done
-  in
   let check (_ : S.result) =
     S.ignore_yields (fun () ->
-        ignore (Sim_sched.drain t ~tid:0 : int);
+        drain_all (module Sim_sched) t;
         if !got <> 7 then Error (Printf.sprintf "await returned %d" !got)
         else if Sim_sched.pending_fibers t <> 0 then Error "fiber lost"
         else if Sim_sched.fibers_spawned t <> 2 then Error "spawn miscount"
@@ -420,7 +584,8 @@ let await_litmus_make () =
           Error "completion miscount"
         else Ok ())
   in
-  ([| worker 0 2; worker 1 2 |], check)
+  let steps tid = stepper (module Sim_sched) t tid 2 in
+  ([| steps 0; steps 1 |], check)
 
 let test_dpor_await_handoff () =
   (* The access count here (two KP dequeue attempts per worker plus the
@@ -433,6 +598,41 @@ let test_dpor_await_handoff () =
   | Some (_, m) -> Alcotest.failf "await hand-off violation: %s" m);
   Alcotest.(check bool) "explored a real schedule set" true
     (r.E.schedules > 100)
+
+(* DPOR litmus 4 — the await hand-off across workers. Children start
+   on their parent's private FIFO, where no other worker can take them
+   before they are published, so the child here is submitted to worker
+   1 directly while the parent, on worker 0, awaits it: worker 0's
+   waiter CAS races worker 1's completion exchange on the promise
+   cell, and the wakeup lands on whichever worker completes the
+   child. *)
+let cross_await_litmus_make () =
+  let t = Sim_sched.create ~num_workers:2 () in
+  let got = ref (-1) in
+  S.ignore_yields (fun () ->
+      let c = Sim_sched.submit t ~tid:1 (fun () -> 7) in
+      ignore
+        (Sim_sched.submit t ~tid:0 (fun () -> got := Sim_sched.await c)
+          : unit Sim_sched.promise));
+  let check (_ : S.result) =
+    S.ignore_yields (fun () ->
+        drain_all (module Sim_sched) t;
+        if !got <> 7 then Error (Printf.sprintf "await returned %d" !got)
+        else if Sim_sched.pending_fibers t <> 0 then Error "fiber lost"
+        else if Sim_sched.fibers_completed t <> 2 then
+          Error "completion miscount"
+        else Ok ())
+  in
+  let steps tid = stepper (module Sim_sched) t tid 2 in
+  ([| steps 0; steps 1 |], check)
+
+let test_dpor_cross_await () =
+  let r = E.dpor ~max_schedules:200_000 ~make:cross_await_litmus_make () in
+  (match r.E.failure with
+  | None -> ()
+  | Some (_, m) -> Alcotest.failf "cross-worker await violation: %s" m);
+  Alcotest.(check bool) "trace space exhausted" true r.E.exhausted;
+  Alcotest.(check bool) "non-trivial exploration" true (r.E.schedules > 1)
 
 let () =
   Alcotest.run "sched"
@@ -459,6 +659,10 @@ let () =
         [
           Alcotest.test_case "sweep follows Steal_order" `Quick
             test_steal_follows_steal_order;
+          Alcotest.test_case "hunger protocol: raise, publish, steal" `Quick
+            test_hunger_protocol;
+          Alcotest.test_case "ring at 10x capacity never raises" `Quick
+            test_full_ring_never_raises;
           Alcotest.test_case "4-domain fan-out stress" `Slow
             test_multidomain_stress;
         ] );
@@ -475,7 +679,11 @@ let () =
             test_sim_deterministic;
           Alcotest.test_case "dpor: steal hand-off" `Slow
             test_dpor_steal_handoff;
+          Alcotest.test_case "dpor: publish vs steal" `Slow
+            test_dpor_publish_steal;
           Alcotest.test_case "dpor: spawn/await/complete hand-off" `Slow
             test_dpor_await_handoff;
+          Alcotest.test_case "dpor: await across workers" `Slow
+            test_dpor_cross_await;
         ] );
     ]

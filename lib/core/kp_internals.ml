@@ -35,7 +35,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     mutable enq_tid : int;
     deq_tid : int A.t;
     (* Intrusive [Segment_pool] storage: the free-list/quarantine link
-       (self-referential when unlinked) and the retire-epoch stamp.
+       (the queue's nil node when unlinked) and the retire-epoch stamp.
        Owned by the pool while the node is retired; dead storage while
        the node is live. *)
     mutable pool_next : 'a node;
@@ -46,10 +46,19 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       unclaimed payload of every [deq_tid]. *)
   let no_tid = -1
 
-  (* [pool_next] needs a self-reference at creation (the type has no
-     null); hoisting the [A.make] calls leaves a statically-constructive
-     [let rec]. *)
-  let make_sentinel () =
+  (** Words between two tids' cells in a per-tid plain array (the cyclic
+      helping cursors), so that adjacent tids never write one line. *)
+  let cursor_stride = Wfq_obsv.Counter.stride
+
+  (* [pool_next] is dead storage while a node is live, but the type has
+     no null, so it must point at some node. Each queue makes one nil
+     node for that at creation and every later node points at it. The
+     nil node is the one self-referential [let rec] record: OCaml 5.1
+     builds such a record twice (a dummy block first, then the real
+     one copied over it), doubling its words and time, so a per-node
+     self-reference would do that on every enqueue. The nil node is
+     never linked into a list, so it keeps no node alive. *)
+  let make_nil () =
     let next = A.make None in
     let deq_tid = A.make no_tid in
     let rec n =
@@ -58,14 +67,13 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     in
     n
 
-  let make_node ~enq_tid value =
+  (* A node holding [value] ([None] for a sentinel); one plain record. *)
+  let make_node ~nil ~enq_tid value =
     let next = A.make None in
     let deq_tid = A.make no_tid in
-    let rec n =
-      { value = Some value; next; enq_tid; deq_tid; pool_next = n;
-        pool_stamp = 0 }
-    in
-    n
+    { value; next; enq_tid; deq_tid; pool_next = nil; pool_stamp = 0 }
+
+  let make_sentinel ~nil = make_node ~nil ~enq_tid:no_tid None
 
   let pool_ops =
     {

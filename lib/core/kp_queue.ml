@@ -31,9 +31,11 @@
 
     The node / linked-list representation lives in {!Kp_internals} and is
     shared with the fast-path/slow-path variant {!Kp_queue_fps}. The
-    [state] slots are cache-line padded ([Wfq_primitives.Padded]): they
-    are per-thread and CASed under contention, so packing them into
-    adjacent heap words would false-share lines between helpers.
+    [state] slots, [head], [tail] and the phase counter are contended
+    cells ([A.make_contended]), one cache line each: they are CASed
+    under contention, so packing them into adjacent heap words would
+    false-share lines between helpers. Unpooled nodes and descriptors
+    are plain records, allocated once each (see [Kp_internals.make_nil]).
 
     Progress: wait-free with the [Phase_scan]/[Help_all] and
     [Phase_counter]/[Help_one_cyclic] combinations alike; population-
@@ -118,12 +120,6 @@ let metrics registry ~prefix ~slots =
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   module N = Kp_internals.Make (A)
   open N
-
-  (* Per-thread descriptor slots are cache-line padded: two helpers
-     CASing logically-independent slots must not invalidate each other's
-     line (see lib/primitives/padded.mli). *)
-  module P = Wfq_primitives.Padded.Make (A)
-
   module Pool = Wfq_primitives.Segment_pool.Make (A)
 
   (* Paper Figure 1, lines 13-24. State slots advance by physical-
@@ -162,13 +158,22 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     mutable pool_stamp : int;
   }
 
-  let fresh_desc () =
+  (* The queue's [idle_desc]: the one self-referential descriptor.
+     Every other descriptor's dead [pool_next] points at it, so each is
+     one plain record, not the dummy-then-copy pair OCaml builds for a
+     [let rec] record. *)
+  let make_idle_desc () =
     let rec d =
       { phase = -1; pending = false; enqueue = true; node = None;
         last_node = None; want = 0; got_n = 0; taken = [];
         pool_next = d; pool_stamp = 0 }
     in
     d
+
+  let blank_desc ~idle () =
+    { phase = -1; pending = false; enqueue = true; node = None;
+      last_node = None; want = 0; got_n = 0; taken = [];
+      pool_next = idle; pool_stamp = 0 }
 
   let desc_ops =
     {
@@ -193,19 +198,21 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   type 'a t = {
     head : 'a N.node A.t; (* L25 *)
     tail : 'a N.node A.t; (* L25 *)
-    state : 'a op_desc P.t array; (* L26 *)
+    state : 'a op_desc A.t array; (* L26 *)
     phase_counter : int A.t; (* optimization 2 (§3.3) *)
     help_policy : help_policy;
     phase_policy : phase_policy;
     tuning : tuning;
     help_cursor : int array;
-        (* per-tid cyclic cursor for the cyclic helping policies;
-           single-writer *)
+        (* per-tid cyclic cursor for the cyclic helping policies, at
+           [tid * Kp_internals.cursor_stride]; single-writer *)
     num_threads : int;
     pools : 'a pools option;
     obsv : metrics option;
     idle_desc : 'a op_desc;
         (* the shared construction-time descriptor; never pool-released *)
+    nil : 'a N.node;
+        (* the [pool_next] of unpooled nodes; never linked *)
   }
 
   let name = "kp-wait-free"
@@ -222,8 +229,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | Some k when k <= 0 ->
         invalid_arg "Kp_queue.create: pool_segment must be positive"
     | _ -> ());
-    let sentinel = make_sentinel () in
-    let idle = fresh_desc () in
+    let nil = make_nil () in
+    let sentinel = make_sentinel ~nil in
+    let idle = make_idle_desc () in
     let pools =
       if not pool then None
       else begin
@@ -231,32 +239,33 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         let nodes =
           Pool.create ?segment_size:pool_segment
             ~quarantine:pool_quarantine ~clock ~num_threads ~ops:N.pool_ops
-            ~fresh:make_sentinel ~reset:N.recycle ()
+            ~fresh:(fun () -> make_sentinel ~nil) ~reset:N.recycle ()
         in
         let descs =
           if pool_quarantine then
             Some
               (Pool.create ?segment_size:pool_segment ~quarantine:true
-                 ~clock ~num_threads ~ops:desc_ops ~fresh:fresh_desc
-                 ~reset:(fun _ -> ()) ())
+                 ~clock ~num_threads ~ops:desc_ops
+                 ~fresh:(blank_desc ~idle) ~reset:(fun _ -> ()) ())
           else None
         in
         Some { nodes; descs }
       end
     in
     {
-      head = A.make sentinel;
-      tail = A.make sentinel;
-      state = Array.init num_threads (fun _ -> P.make idle);
-      phase_counter = A.make (-1);
+      head = A.make_contended sentinel;
+      tail = A.make_contended sentinel;
+      state = Array.init num_threads (fun _ -> A.make_contended idle);
+      phase_counter = A.make_contended (-1);
       help_policy = help;
       phase_policy = phase;
       tuning;
-      help_cursor = Array.make num_threads 0;
+      help_cursor = Array.make (num_threads * cursor_stride) 0;
       num_threads;
       pools;
       obsv;
       idle_desc = idle;
+      nil;
     }
 
   let create ~num_threads () =
@@ -281,7 +290,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         n.N.value <- Some value;
         n.N.enq_tid <- enq_tid;
         n
-    | None -> make_node ~enq_tid value
+    | None -> make_node ~nil:t.nil ~enq_tid (Some value)
 
   (* Called by the unique winner of the head-swing CAS: at that point
      the old sentinel is unreachable from the queue, and the pool's
@@ -310,11 +319,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         d.taken <- taken;
         d
     | _ ->
-        let rec d =
-          { phase; pending; enqueue; node; last_node = last; want;
-            got_n = got; taken; pool_next = d; pool_stamp = 0 }
-        in
-        d
+        { phase; pending; enqueue; node; last_node = last; want;
+          got_n = got; taken; pool_next = t.idle_desc; pool_stamp = 0 }
 
   let mk_desc t ~self ~phase ~pending ~enqueue ~node =
     mk_desc_b t ~self ~phase ~pending ~enqueue ~last:None ~want:0 ~got:0
@@ -348,13 +354,13 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let publish t ~tid d =
     match t.pools with
     | Some { descs = Some _; _ } ->
-        retire_desc t ~self:tid (P.exchange t.state.(tid) d)
-    | _ -> P.set t.state.(tid) d
+        retire_desc t ~self:tid (A.exchange t.state.(tid) d)
+    | _ -> A.set t.state.(tid) d
 
   (* L48-57 *)
   let max_phase t =
     Array.fold_left
-      (fun acc slot -> max acc (P.get slot).phase)
+      (fun acc slot -> max acc (A.get slot).phase)
       (-1) t.state
 
   let next_phase t ~tid =
@@ -377,7 +383,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* L58-60 *)
   let is_still_pending t tid phase =
-    let desc = P.get t.state.(tid) in
+    let desc = A.get t.state.(tid) in
     desc.pending && desc.phase <= phase
 
   (* ------------------------------------------------------------------ *)
@@ -405,7 +411,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         let tid = next.enq_tid in
         (* L89: only real enqueued nodes ever follow [tail]. *)
         assert (tid >= 0 && tid < t.num_threads);
-        let cur_desc = P.get t.state.(tid) in
+        let cur_desc = A.get t.state.(tid) in
         (* L91: verify the slot still refers to the node just appended;
            guards against racing [help_finish_enq] calls. The jump
            target comes from the {e fresh} descriptor read (the one the
@@ -414,7 +420,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
            completion CAS, but a stale [last_node] would teleport
            [tail]. *)
         if last == A.get t.tail then begin
-          let slot_desc = P.get t.state.(tid) in
+          let slot_desc = A.get t.state.(tid) in
           if slot_desc.node == next_o then begin
             let target =
               match slot_desc.last_node with Some l -> l | None -> next
@@ -430,7 +436,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                   ~enqueue:true ~last:cur_desc.last_node ~want:0 ~got:0
                   ~taken:[] ~node:next_o
               in
-              if P.compare_and_set t.state.(tid) cur_desc new_desc then
+              if A.compare_and_set t.state.(tid) cur_desc new_desc then
                 retire_desc t ~self cur_desc
               else drop_desc t ~self new_desc
             end;
@@ -453,7 +459,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                stale helper could append a node for an operation that
                already completed. *)
             if is_still_pending t tid phase then begin
-              let node = (P.get t.state.(tid)).node in
+              let node = (A.get t.state.(tid)).node in
               if A.compare_and_set last.next None node then begin
                 (* L74 succeeded: the operation is linearized. *)
                 help_finish_enq t ~self
@@ -487,7 +493,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let next = A.get first.next in
     let tid = N.claimed_tid first in (* L144, epoch tag stripped *)
     if tid <> -1 then begin
-      let cur_desc = P.get t.state.(tid) in
+      let cur_desc = A.get t.state.(tid) in
       match next with
       | Some next_node when first == A.get t.head ->
           (if cur_desc.want > 0 then begin
@@ -509,7 +515,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                    ~last:None ~want:cur_desc.want ~got
                    ~taken:(v :: cur_desc.taken) ~node:None
                in
-               if P.compare_and_set t.state.(tid) cur_desc new_desc then
+               if A.compare_and_set t.state.(tid) cur_desc new_desc then
                  retire_desc t ~self cur_desc
                else drop_desc t ~self new_desc
              end
@@ -520,7 +526,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                mk_desc t ~self ~phase:cur_desc.phase ~pending:false
                  ~enqueue:false ~node:cur_desc.node
              in
-             if P.compare_and_set t.state.(tid) cur_desc new_desc then
+             if A.compare_and_set t.state.(tid) cur_desc new_desc then
                retire_desc t ~self cur_desc
              else drop_desc t ~self new_desc
            end);
@@ -557,14 +563,14 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               (* L116-121: certainly empty — record the empty outcome in
                  the owner's descriptor (it cannot raise here: this code
                  may run in a helper's context, §3.1). *)
-              let cur_desc = P.get t.state.(tid) in
+              let cur_desc = A.get t.state.(tid) in
               if last == A.get t.tail && is_still_pending t tid phase
               then begin
                 let new_desc =
                   mk_desc t ~self ~phase:cur_desc.phase ~pending:false
                     ~enqueue:false ~node:None
                 in
-                if P.compare_and_set t.state.(tid) cur_desc new_desc then
+                if A.compare_and_set t.state.(tid) cur_desc new_desc then
                   retire_desc t ~self cur_desc
                 else drop_desc t ~self new_desc
               end;
@@ -576,7 +582,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         end
         else begin
           (* L125-137: queue is not empty *)
-          let cur_desc = P.get t.state.(tid) in
+          let cur_desc = A.get t.state.(tid) in
           let node = cur_desc.node in
           (* L128: break — required for linearizability. *)
           if is_still_pending t tid phase then begin
@@ -589,7 +595,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                 mk_desc t ~self ~phase:cur_desc.phase ~pending:true
                   ~enqueue:false ~node:(Some first)
               in
-              if not (P.compare_and_set t.state.(tid) cur_desc new_desc)
+              if not (A.compare_and_set t.state.(tid) cur_desc new_desc)
               then begin
                 drop_desc t ~self new_desc;
                 help_deq t ~self tid phase (* L132: continue *)
@@ -642,7 +648,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           match next with
           | None ->
               (* Empty: the batch completes with whatever it has. *)
-              let cur_desc = P.get t.state.(tid) in
+              let cur_desc = A.get t.state.(tid) in
               if last == A.get t.tail && is_still_pending t tid phase
               then begin
                 let new_desc =
@@ -650,7 +656,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                     ~enqueue:false ~last:None ~want:cur_desc.want
                     ~got:cur_desc.got_n ~taken:cur_desc.taken ~node:None
                 in
-                if P.compare_and_set t.state.(tid) cur_desc new_desc then
+                if A.compare_and_set t.state.(tid) cur_desc new_desc then
                   retire_desc t ~self cur_desc
                 else drop_desc t ~self new_desc
               end;
@@ -660,7 +666,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               help_batch_deq t ~self tid phase
         end
         else begin
-          let cur_desc = P.get t.state.(tid) in
+          let cur_desc = A.get t.state.(tid) in
           let node = cur_desc.node in
           if is_still_pending t tid phase then begin
             let points_to_first =
@@ -675,7 +681,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                   ~got:cur_desc.got_n ~taken:cur_desc.taken
                   ~node:(Some first)
               in
-              if not (P.compare_and_set t.state.(tid) cur_desc new_desc)
+              if not (A.compare_and_set t.state.(tid) cur_desc new_desc)
               then begin
                 drop_desc t ~self new_desc;
                 help_batch_deq t ~self tid phase
@@ -702,7 +708,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   (* ------------------------------------------------------------------ *)
 
   let help_slot t ~self i phase =
-    let desc = P.get t.state.(i) in
+    let desc = A.get t.state.(i) in
     if desc.pending && desc.phase <= phase then begin
       (* Peer helps only: dispatching your own freshly-published op is
          the common uncontended path (lag 0 by construction), so
@@ -732,13 +738,15 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           help_slot t ~self:tid i phase
         done
     | Help_one_cyclic ->
-        let c = t.help_cursor.(tid) in
-        t.help_cursor.(tid) <- (c + 1) mod t.num_threads;
+        let i = tid * cursor_stride in
+        let c = t.help_cursor.(i) in
+        t.help_cursor.(i) <- (c + 1) mod t.num_threads;
         if c <> tid then help_slot t ~self:tid c phase;
         help_slot t ~self:tid tid phase
     | Help_chunk k ->
-        let c = t.help_cursor.(tid) in
-        t.help_cursor.(tid) <- (c + k) mod t.num_threads;
+        let i = tid * cursor_stride in
+        let c = t.help_cursor.(i) in
+        t.help_cursor.(i) <- (c + k) mod t.num_threads;
         for j = 0 to min k t.num_threads - 1 do
           let i = (c + j) mod t.num_threads in
           if i <> tid then help_slot t ~self:tid i phase
@@ -782,7 +790,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
        refers to a node whose [deq_tid] is ours before returning. *)
     help_finish_deq t ~self:tid;
     let result =
-      match (P.get t.state.(tid)).node with
+      match (A.get t.state.(tid)).node with
       | None -> None (* L104-105: linearized on an empty queue *)
       | Some node -> (
           (* L107: the descriptor points at the sentinel that preceded
@@ -870,7 +878,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       (* Symmetric to [dequeue]: make sure our final claim's head swing
          has landed before returning. *)
       help_finish_deq t ~self:tid;
-      let taken = List.rev (P.get t.state.(tid)).taken in
+      let taken = List.rev (A.get t.state.(tid)).taken in
       if t.tuning.gc_friendly then
         publish t ~tid
           (mk_desc t ~self:tid ~phase ~pending:false ~enqueue:false
@@ -893,7 +901,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | Ok () ->
         let pending_slots =
           Array.to_list t.state
-          |> List.filteri (fun _ slot -> (P.get slot).pending)
+          |> List.filteri (fun _ slot -> (A.get slot).pending)
         in
         if pending_slots <> [] then
           Error
@@ -903,12 +911,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* Exposed for white-box tests: the number of helping rounds a slot has
      recorded, i.e. the phase of thread [tid]'s latest operation. *)
-  let phase_of t ~tid = (P.get t.state.(tid)).phase
-  let pending_of t ~tid = (P.get t.state.(tid)).pending
+  let phase_of t ~tid = (A.get t.state.(tid)).phase
+  let pending_of t ~tid = (A.get t.state.(tid)).pending
 
   (* True while the thread's descriptor still references a list node;
      with [gc_friendly] tuning it is false between operations. *)
-  let holds_node_reference t ~tid = (P.get t.state.(tid)).node <> None
+  let holds_node_reference t ~tid = (A.get t.state.(tid)).node <> None
 
   (* Pool telemetry (quiescent use): (reused, fresh, parked) for the
      node pool, and the same for the descriptor pool when recycling

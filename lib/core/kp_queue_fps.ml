@@ -124,7 +124,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   module N = Kp_internals.Make (A)
   open N
 
-  module P = Wfq_primitives.Padded.Make (A)
   module Pool = Wfq_primitives.Segment_pool.Make (A)
 
   (* Mutable for the same reason as Kp_queue's: pooled records are
@@ -153,13 +152,21 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     mutable pool_stamp : int;
   }
 
-  let fresh_desc () =
+  (* The one self-referential descriptor, as in Kp_queue: every other
+     descriptor's dead [pool_next] points at it, so each is one plain
+     record. *)
+  let make_idle_desc () =
     let rec d =
       { phase = -1; pending = false; enqueue = true; node = None;
         last_node = None; want = 0; got_n = 0; taken = [];
         pool_next = d; pool_stamp = 0 }
     in
     d
+
+  let blank_desc ~idle () =
+    { phase = -1; pending = false; enqueue = true; node = None;
+      last_node = None; want = 0; got_n = 0; taken = [];
+      pool_next = idle; pool_stamp = 0 }
 
   let desc_ops =
     {
@@ -174,11 +181,13 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     descs : 'a op_desc Pool.t option; (* None without quarantine *)
   }
 
+  (* [head], [tail], [state], [slow_pending] and [phase_counter] are
+     contended cells, one cache line each, as in Kp_queue. *)
   type 'a t = {
     head : 'a N.node A.t;
     tail : 'a N.node A.t;
-    (* Slow-path descriptor slots; padded like Kp_queue's. *)
-    state : 'a op_desc P.t array;
+    (* Slow-path descriptor slots. *)
+    state : 'a op_desc A.t array;
     (* Number of threads currently executing a slow-path operation.
        Fast-path operations read it once per operation and help only
        when it is non-zero, keeping the uncontended hot path free of
@@ -190,10 +199,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     tuning : tuning;
     max_failures : int;
     fault : fault option; (* test-only seeded bug, None in production *)
-    help_cursor : int array;
+    help_cursor : int array; (* at [tid * cursor_stride] *)
     num_threads : int;
     pools : 'a pools option;
     idle_desc : 'a op_desc;
+    nil : 'a N.node; (* the [pool_next] of unpooled nodes *)
     (* Single-writer per-tid statistics (exact at quiescence); always on
        — the probes below and debug_dump read them — and padded, unlike
        the plain int arrays they replace, which false-shared adjacent
@@ -220,8 +230,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | Some k when k <= 0 ->
         invalid_arg "Kp_queue_fps.create: pool_segment must be positive"
     | _ -> ());
-    let sentinel = make_sentinel () in
-    let idle = fresh_desc () in
+    let nil = make_nil () in
+    let sentinel = make_sentinel ~nil in
+    let idle = make_idle_desc () in
     let pools =
       if not pool then None
       else begin
@@ -235,34 +246,35 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         let nodes =
           Pool.create ?segment_size:pool_segment
             ~quarantine:pool_quarantine ~clock ~num_threads ~ops:N.pool_ops
-            ~fresh:make_sentinel ~reset:node_reset ()
+            ~fresh:(fun () -> make_sentinel ~nil) ~reset:node_reset ()
         in
         let descs =
           if pool_quarantine then
             Some
               (Pool.create ?segment_size:pool_segment ~quarantine:true
-                 ~clock ~num_threads ~ops:desc_ops ~fresh:fresh_desc
-                 ~reset:(fun _ -> ()) ())
+                 ~clock ~num_threads ~ops:desc_ops
+                 ~fresh:(blank_desc ~idle) ~reset:(fun _ -> ()) ())
           else None
         in
         Some { nodes; descs }
       end
     in
     {
-      head = A.make sentinel;
-      tail = A.make sentinel;
-      state = Array.init num_threads (fun _ -> P.make idle);
-      slow_pending = A.make 0;
-      phase_counter = A.make (-1);
+      head = A.make_contended sentinel;
+      tail = A.make_contended sentinel;
+      state = Array.init num_threads (fun _ -> A.make_contended idle);
+      slow_pending = A.make_contended 0;
+      phase_counter = A.make_contended (-1);
       help_policy = help;
       phase_policy = phase;
       tuning;
       max_failures;
       fault;
-      help_cursor = Array.make num_threads 0;
+      help_cursor = Array.make (num_threads * cursor_stride) 0;
       num_threads;
       pools;
       idle_desc = idle;
+      nil;
       fast_hits = Wfq_obsv.Counter.create ~slots:num_threads ();
       slow_entries = Wfq_obsv.Counter.create ~slots:num_threads ();
       obsv;
@@ -276,7 +288,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let max_phase t =
     Array.fold_left
-      (fun acc slot -> max acc (P.get slot).phase)
+      (fun acc slot -> max acc (A.get slot).phase)
       (-1) t.state
 
   let next_phase t =
@@ -288,7 +300,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         cur + 1
 
   let is_still_pending t tid phase =
-    let desc = P.get t.state.(tid) in
+    let desc = A.get t.state.(tid) in
     desc.pending && desc.phase <= phase
 
   (* Optional-instrumentation writes, factored so the operation bodies
@@ -332,7 +344,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         n.N.value <- Some value;
         n.N.enq_tid <- enq_tid;
         n
-    | None -> make_node ~enq_tid value
+    | None -> make_node ~nil:t.nil ~enq_tid (Some value)
 
   (* Unique head-swing winner only (both paths). *)
   let release_node t ~self n =
@@ -357,11 +369,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         d.taken <- taken;
         d
     | _ ->
-        let rec d =
-          { phase; pending; enqueue; node; last_node = last; want;
-            got_n = got; taken; pool_next = d; pool_stamp = 0 }
-        in
-        d
+        { phase; pending; enqueue; node; last_node = last; want;
+          got_n = got; taken; pool_next = t.idle_desc; pool_stamp = 0 }
 
   let mk_desc t ~self ~phase ~pending ~enqueue ~node =
     mk_desc_b t ~self ~phase ~pending ~enqueue ~last:None ~want:0 ~got:0
@@ -381,8 +390,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let publish t ~tid d =
     match t.pools with
     | Some { descs = Some _; _ } ->
-        retire_desc t ~self:tid (P.exchange t.state.(tid) d)
-    | _ -> P.set t.state.(tid) d
+        retire_desc t ~self:tid (A.exchange t.state.(tid) d)
+    | _ -> A.set t.state.(tid) d
 
   (* ------------------------------------------------------------------ *)
   (* Finishing helpers, shared by both paths                            *)
@@ -402,12 +411,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         if tid < 0 then ignore (A.compare_and_set t.tail last next)
         else begin
           assert (tid < t.num_threads);
-          let cur_desc = P.get t.state.(tid) in
+          let cur_desc = A.get t.state.(tid) in
           (* Batch jump target from the {e fresh} descriptor read (the
              one validated against [next_o]) — a stale [cur_desc] only
              loses its completion CAS, but a stale [last_node] would
              teleport [tail]. See Kp_queue.help_finish_enq. *)
-          let slot_desc = P.get t.state.(tid) in
+          let slot_desc = A.get t.state.(tid) in
           if last == A.get t.tail && slot_desc.node == next_o then begin
             let target =
               match slot_desc.last_node with Some l -> l | None -> next
@@ -419,7 +428,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                   ~enqueue:true ~last:cur_desc.last_node ~want:0 ~got:0
                   ~taken:[] ~node:next_o
               in
-              if P.compare_and_set t.state.(tid) cur_desc new_desc then
+              if A.compare_and_set t.state.(tid) cur_desc new_desc then
                 retire_desc t ~self cur_desc
               else drop_desc t ~self new_desc
             end;
@@ -444,7 +453,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       | Some _ | None -> ()
     end
     else if tid <> -1 then begin
-      let cur_desc = P.get t.state.(tid) in
+      let cur_desc = A.get t.state.(tid) in
       match next with
       | Some next_node when first == A.get t.head ->
           (if cur_desc.want > 0 then begin
@@ -470,7 +479,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                    ~last:None ~want:cur_desc.want ~got
                    ~taken:(v :: cur_desc.taken) ~node:None
                in
-               if P.compare_and_set t.state.(tid) cur_desc new_desc then
+               if A.compare_and_set t.state.(tid) cur_desc new_desc then
                  retire_desc t ~self cur_desc
                else drop_desc t ~self new_desc
              end
@@ -481,7 +490,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                mk_desc t ~self ~phase:cur_desc.phase ~pending:false
                  ~enqueue:false ~node:cur_desc.node
              in
-             if P.compare_and_set t.state.(tid) cur_desc new_desc then
+             if A.compare_and_set t.state.(tid) cur_desc new_desc then
                retire_desc t ~self cur_desc
              else drop_desc t ~self new_desc
            end);
@@ -503,7 +512,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         match next with
         | None ->
             if is_still_pending t tid phase then begin
-              let node = (P.get t.state.(tid)).node in
+              let node = (A.get t.state.(tid)).node in
               if A.compare_and_set last.next None node then
                 help_finish_enq t ~self
               else help_enq t ~self tid phase
@@ -528,14 +537,14 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         if first == last then begin
           match next with
           | None ->
-              let cur_desc = P.get t.state.(tid) in
+              let cur_desc = A.get t.state.(tid) in
               if last == A.get t.tail && is_still_pending t tid phase
               then begin
                 let new_desc =
                   mk_desc t ~self ~phase:cur_desc.phase ~pending:false
                     ~enqueue:false ~node:None
                 in
-                if P.compare_and_set t.state.(tid) cur_desc new_desc then
+                if A.compare_and_set t.state.(tid) cur_desc new_desc then
                   retire_desc t ~self cur_desc
                 else drop_desc t ~self new_desc
               end;
@@ -545,7 +554,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               help_deq t ~self tid phase
         end
         else begin
-          let cur_desc = P.get t.state.(tid) in
+          let cur_desc = A.get t.state.(tid) in
           let node = cur_desc.node in
           if is_still_pending t tid phase then begin
             let points_to_first =
@@ -556,7 +565,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                 mk_desc t ~self ~phase:cur_desc.phase ~pending:true
                   ~enqueue:false ~node:(Some first)
               in
-              if not (P.compare_and_set t.state.(tid) cur_desc new_desc)
+              if not (A.compare_and_set t.state.(tid) cur_desc new_desc)
               then begin
                 drop_desc t ~self new_desc;
                 help_deq t ~self tid phase
@@ -601,7 +610,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           match next with
           | None ->
               (* Empty: complete the batch with its partial result. *)
-              let cur_desc = P.get t.state.(tid) in
+              let cur_desc = A.get t.state.(tid) in
               if last == A.get t.tail && is_still_pending t tid phase
               then begin
                 let new_desc =
@@ -609,7 +618,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                     ~enqueue:false ~last:None ~want:cur_desc.want
                     ~got:cur_desc.got_n ~taken:cur_desc.taken ~node:None
                 in
-                if P.compare_and_set t.state.(tid) cur_desc new_desc then
+                if A.compare_and_set t.state.(tid) cur_desc new_desc then
                   retire_desc t ~self cur_desc
                 else drop_desc t ~self new_desc
               end;
@@ -619,7 +628,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               help_batch_deq t ~self tid phase
         end
         else begin
-          let cur_desc = P.get t.state.(tid) in
+          let cur_desc = A.get t.state.(tid) in
           let node = cur_desc.node in
           if is_still_pending t tid phase then begin
             let points_to_first =
@@ -632,7 +641,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                   ~got:cur_desc.got_n ~taken:cur_desc.taken
                   ~node:(Some first)
               in
-              if not (P.compare_and_set t.state.(tid) cur_desc new_desc)
+              if not (A.compare_and_set t.state.(tid) cur_desc new_desc)
               then begin
                 drop_desc t ~self new_desc;
                 help_batch_deq t ~self tid phase
@@ -666,7 +675,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      [maybe_help] helps at bound [max_int], which is only safe because
      of this. *)
   let help_slot t ~self i phase =
-    let desc = P.get t.state.(i) in
+    let desc = A.get t.state.(i) in
     if desc.pending && desc.phase <= phase then begin
       let bound =
         match t.fault with
@@ -685,13 +694,15 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           help_slot t ~self:tid i phase
         done
     | Help_one_cyclic ->
-        let c = t.help_cursor.(tid) in
-        t.help_cursor.(tid) <- (c + 1) mod t.num_threads;
+        let i = tid * cursor_stride in
+        let c = t.help_cursor.(i) in
+        t.help_cursor.(i) <- (c + 1) mod t.num_threads;
         if c <> tid then help_slot t ~self:tid c phase;
         help_slot t ~self:tid tid phase
     | Help_chunk k ->
-        let c = t.help_cursor.(tid) in
-        t.help_cursor.(tid) <- (c + k) mod t.num_threads;
+        let i = tid * cursor_stride in
+        let c = t.help_cursor.(i) in
+        t.help_cursor.(i) <- (c + k) mod t.num_threads;
         for j = 0 to min k t.num_threads - 1 do
           let i = (c + j) mod t.num_threads in
           if i <> tid then help_slot t ~self:tid i phase
@@ -707,8 +718,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      every other thread stays on the fast path forever. *)
   let maybe_help t ~tid =
     if A.get t.slow_pending > 0 then begin
-      let c = t.help_cursor.(tid) in
-      t.help_cursor.(tid) <- (c + 1) mod t.num_threads;
+      let i = tid * cursor_stride in
+      let c = t.help_cursor.(i) in
+      t.help_cursor.(i) <- (c + 1) mod t.num_threads;
       help_slot t ~self:tid c max_int
     end
 
@@ -747,7 +759,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     help_finish_deq t ~self:tid;
     ignore (A.fetch_and_add t.slow_pending (-1));
     let result =
-      match (P.get t.state.(tid)).node with
+      match (A.get t.state.(tid)).node with
       | None -> None
       | Some node -> (
           (* [node] may already be pool-released by the head winner;
@@ -799,7 +811,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     run_help t ~tid ~phase;
     help_finish_deq t ~self:tid;
     ignore (A.fetch_and_add t.slow_pending (-1));
-    let taken = List.rev (P.get t.state.(tid)).taken in
+    let taken = List.rev (A.get t.state.(tid)).taken in
     if t.tuning.gc_friendly then
       publish t ~tid
         (mk_desc t ~self:tid ~phase ~pending:false ~enqueue:false ~node:None);
@@ -1136,7 +1148,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | Ok () ->
         let pending_slots =
           Array.to_list t.state
-          |> List.filteri (fun _ slot -> (P.get slot).pending)
+          |> List.filteri (fun _ slot -> (A.get slot).pending)
         in
         if pending_slots <> [] then
           Error
@@ -1158,8 +1170,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     Wfq_obsv.Counter.slot_value t.slow_entries ~slot:tid
   let fast_path_hits t = Wfq_obsv.Counter.total t.fast_hits
   let slow_path_entries t = Wfq_obsv.Counter.total t.slow_entries
-  let pending_of t ~tid = (P.get t.state.(tid)).pending
-  let phase_of t ~tid = (P.get t.state.(tid)).phase
+  let pending_of t ~tid = (A.get t.state.(tid)).pending
+  let phase_of t ~tid = (A.get t.state.(tid)).phase
 
   let pool_stats t =
     match t.pools with
@@ -1188,7 +1200,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       (A.get t.slow_pending);
     Array.iteri
       (fun tid slot ->
-        let d = P.get slot in
+        let d = A.get slot in
         Printf.printf
           "tid %d: pending=%b enq=%b phase=%d node=%s fast=%d slow=%d\n" tid
           d.pending d.enqueue d.phase

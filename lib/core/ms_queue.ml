@@ -35,16 +35,22 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     head : 'a node A.t;
     tail : 'a node A.t;
     pool : 'a node Pool.t option;
+    nil : 'a node;  (* the [pool_next] of unpooled nodes; never linked *)
   }
 
   let name = "ms-lock-free"
 
-  let fresh_node' value =
+  (* The queue's nil node is its one self-referential [let rec] record
+     (OCaml 5.1 builds those twice: a dummy block, then the real one);
+     every other node's dead [pool_next] points at it and is one plain
+     record. *)
+  let make_nil () =
     let next = A.make None in
-    let rec n = { value; next; pool_next = n; pool_stamp = 0 } in
+    let rec n = { value = None; next; pool_next = n; pool_stamp = 0 } in
     n
 
-  let fresh_node () = fresh_node' None
+  let fresh_node ~nil value =
+    { value; next = A.make None; pool_next = nil; pool_stamp = 0 }
 
   let reset_node n =
     n.value <- None;
@@ -59,17 +65,19 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     }
 
   let create ~num_threads:_ () =
-    let sentinel = fresh_node () in
-    { head = A.make sentinel; tail = A.make sentinel; pool = None }
+    let nil = make_nil () in
+    let sentinel = fresh_node ~nil None in
+    { head = A.make sentinel; tail = A.make sentinel; pool = None; nil }
 
   let create_pooled ?segment_size ~num_threads () =
-    let sentinel = fresh_node () in
+    let nil = make_nil () in
+    let sentinel = fresh_node ~nil None in
     let clock = Pool.Clock.create ~num_threads in
     let pool =
       Pool.create ?segment_size ~quarantine:true ~clock ~num_threads
-        ~ops:pool_ops ~fresh:fresh_node ~reset:reset_node ()
+        ~ops:pool_ops ~fresh:(fun () -> fresh_node ~nil None) ~reset:reset_node ()
     in
-    { head = A.make sentinel; tail = A.make sentinel; pool = Some pool }
+    { head = A.make sentinel; tail = A.make sentinel; pool = Some pool; nil }
 
   let op_enter t ~tid =
     match t.pool with Some p -> Pool.enter p ~tid | None -> ()
@@ -83,7 +91,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         let n = Pool.alloc p ~tid in
         n.value <- Some value;
         n
-    | None -> fresh_node' (Some value)
+    | None -> fresh_node ~nil:t.nil (Some value)
 
   (* Retry loops at functor level with explicit arguments: a nested
      [let rec loop] capturing [t]/[node] allocates its closure

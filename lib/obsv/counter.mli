@@ -10,6 +10,11 @@
 
 type t
 
+val stride : int
+(** Words between adjacent slots' cells (16 = 128 bytes: one x86-64
+    cache line plus its adjacent-line prefetch partner). Other per-tid
+    plain arrays use the same stride. *)
+
 val create : slots:int -> unit -> t
 (** [slots] independent cells, each padded to its own cache line.
     Raises [Invalid_argument] for [slots <= 0]. *)

@@ -21,6 +21,14 @@ module type ATOMIC = sig
   val make : 'a -> 'a t
   (** [make v] allocates a new cell initialized to [v]. *)
 
+  val make_contended : 'a -> 'a t
+  (** [make_contended v] is [make v] for a cell that several domains
+      write: the cell gets a cache line of its own, so writes to it do
+      not invalidate the lines of its heap neighbours (false sharing).
+      The padding is part of the cell's own block, so it survives
+      promotion to the major heap. It costs memory, so call it only at
+      creation time and only for cells that are hot under contention. *)
+
   val get : 'a t -> 'a
   (** Atomic read. *)
 

@@ -100,6 +100,7 @@ module Make (Base : Atomic_intf.ATOMIC) = struct
     }
 
   let make = Base.make
+  let make_contended = Base.make_contended
 
   let get c =
     incr reads;

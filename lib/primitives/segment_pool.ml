@@ -56,8 +56,6 @@ type 'a ops = {
 }
 
 module Make (A : Atomic_intf.ATOMIC) = struct
-  module P = Padded.Make (A)
-
   (* ------------------------------------------------------------------ *)
   (* Clock: global epoch + per-domain announcements (EBR-style)         *)
   (* ------------------------------------------------------------------ *)
@@ -68,9 +66,9 @@ module Make (A : Atomic_intf.ATOMIC) = struct
     type t = {
       global : int A.t;
       (* Announced epoch per tid ([idle] when outside any operation).
-         Padded: each slot is written by exactly one domain per
+         Contended cells: each slot is written by exactly one domain per
          operation and read by all during advancement scans. *)
-      local : int P.t array;
+      local : int A.t array;
       num_threads : int;
     }
 
@@ -78,16 +76,16 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       if num_threads <= 0 then
         invalid_arg "Segment_pool.Clock.create: num_threads";
       {
-        global = A.make 0;
-        local = Array.init num_threads (fun _ -> P.make idle);
+        global = A.make_contended 0;
+        local = Array.init num_threads (fun _ -> A.make_contended idle);
         num_threads;
       }
 
     (* Announce the current global epoch for the duration of one queue
        operation. One atomic load + one store to an uncontended padded
-       slot — the whole per-operation cost of quarantine safety. *)
-    let enter t ~tid = P.set t.local.(tid) (A.get t.global)
-    let exit t ~tid = P.set t.local.(tid) idle
+       cell — the whole per-operation cost of quarantine safety. *)
+    let enter t ~tid = A.set t.local.(tid) (A.get t.global)
+    let exit t ~tid = A.set t.local.(tid) idle
 
     let current t = A.get t.global
 
@@ -99,7 +97,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       let e = A.get t.global in
       let rec all_caught_up i =
         i >= t.num_threads
-        || (P.get t.local.(i) >= e && all_caught_up (i + 1))
+        || (A.get t.local.(i) >= e && all_caught_up (i + 1))
       in
       if all_caught_up 0 then ignore (A.compare_and_set t.global e (e + 1))
   end

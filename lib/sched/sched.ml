@@ -181,8 +181,6 @@ end
 module Make
     (A : Wfq_primitives.Atomic_intf.ATOMIC)
     (Q : RUN_QUEUE) : S = struct
-  module P = Wfq_primitives.Padded.Make (A)
-
   (* A fiber's overall computation always has type [unit]: user bodies
      are wrapped to deliver their value (or exception) to the fiber's
      promise via [Complete], so every captured continuation is a
@@ -225,7 +223,9 @@ module Make
         (** owner's hint: [false] only when [shared] is surely empty.
             Only the owner adds to [shared], so an empty dequeue by the
             owner stays true until its next add. *)
-    hungry : bool P.t;  (** raised by a thief whose sweep found nothing *)
+    hungry : bool A.t;
+        (** raised by a thief whose sweep found nothing; a contended
+            cell, since every thief reads it *)
   }
 
   type t = {
@@ -424,7 +424,7 @@ module Make
                 shared = Q.create ~num_threads:num_workers ();
                 fifo = Fifo.create nil;
                 shared_maybe = false;
-                hungry = P.make false;
+                hungry = A.make_contended false;
               });
         handlers =
           Array.make num_workers
@@ -464,8 +464,8 @@ module Make
   let publish t ~tid =
     let w = t.worker.(tid) in
     let n = Fifo.length w.fifo in
-    if n >= 2 && P.get w.hungry then begin
-      P.set w.hungry false;
+    if n >= 2 && A.get w.hungry then begin
+      A.set w.hungry false;
       let batch = Fifo.peek w.fifo (n / 2) in
       let accepted = Q.try_enqueue_batch w.shared ~tid batch in
       Fifo.drop w.fifo accepted;
@@ -479,7 +479,7 @@ module Make
      and a store per sweep would bounce the victim's cache line. *)
   let raise_hunger t ~tid =
     Array.iteri
-      (fun v w -> if v <> tid && not (P.get w.hungry) then P.set w.hungry true)
+      (fun v w -> if v <> tid && not (A.get w.hungry) then A.set w.hungry true)
       t.worker
 
   (* --- taking work ------------------------------------------------- *)

@@ -25,6 +25,12 @@ let make v =
   incr loc_counter;
   { contents = v; loc = !loc_counter }
 
+(* The simulator is single-domain, so there is no line to share: a
+   contended cell is an ordinary one, with the same location id it would
+   get from [make]. DPOR traces and schedule counts are therefore the
+   same whichever of the two a queue calls. *)
+let make_contended = make
+
 let get r =
   Scheduler.yield_access { Scheduler.loc = r.loc; kind = Scheduler.Read };
   r.contents

@@ -210,6 +210,50 @@ let test_seq_differential bk () =
     (i.Q.dump ())
 
 (* ------------------------------------------------------------------ *)
+(* Allocation pins *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words per operation of a solo enqueue+dequeue loop on one
+   domain, after a warm-up that lets pooled backends carve their first
+   segments. Words come from [Gc.minor_words], so the figure does not
+   depend on host speed; each is pinned as a ceiling. The unpooled
+   linked queues allocate each node and descriptor as one plain record:
+   a self-referential [let rec] record costs OCaml 5.1 a dummy block
+   plus a copy, which put kp-opt12 at 67 words/op, the Help_all/
+   Phase_scan build at 72, fps at 11 and lf at 8. *)
+let alloc_pins =
+  [
+    ("kp-opt12", 36.0);
+    ("kp-opt12?help=all&phase=scan", 41.0);
+    ("fps", 7.5);
+    ("lf", 5.5);
+    ("kp-opt12-pooled", 3.6);
+    ("fps-pooled", 2.1);
+    ("ring", 3.5);
+  ]
+
+let solo_words_per_op spec =
+  let i : int Q.instance = B.instantiate (B.find spec) ~num_threads:1 () in
+  let run n =
+    for v = 1 to n do
+      i.Q.enq ~tid:0 v;
+      ignore (Sys.opaque_identity (i.Q.deq ~tid:0))
+    done
+  in
+  run 1_000;
+  let pairs = 20_000 in
+  let w0 = Gc.minor_words () in
+  run pairs;
+  (Gc.minor_words () -. w0) /. float_of_int (2 * pairs)
+
+let test_alloc_pin (spec, ceiling) () =
+  let w = solo_words_per_op spec in
+  (* The slack covers the two boxed floats of the measurement itself
+     and pool bookkeeping rounding, nowhere near one word per op. *)
+  if w > ceiling +. 0.05 then
+    Alcotest.failf "%s allocates %.3f words/op, pinned at %.1f" spec w ceiling
+
+(* ------------------------------------------------------------------ *)
 (* Real domains: pairs stress *)
 (* ------------------------------------------------------------------ *)
 
@@ -289,6 +333,13 @@ let () =
   Alcotest.run "backend-battery"
     [
       ("registry", [ Alcotest.test_case "sanity" `Quick test_registry ]);
+      ( "alloc pins",
+        List.map
+          (fun ((spec, ceiling) as pin) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s <= %.1f words/op" spec ceiling)
+              `Quick (test_alloc_pin pin))
+          alloc_pins );
       ( "specs",
         [
           Alcotest.test_case "bad specs name the offending part" `Quick

@@ -315,14 +315,14 @@ let claim_litmus ~reset () =
   let clock = PoolSim.Clock.create ~num_threads:2 in
   let p =
     PoolSim.create ~segment_size:1 ~quarantine:false ~clock ~num_threads:2
-      ~ops:NSim.pool_ops ~fresh:NSim.make_sentinel ~reset ()
+      ~ops:NSim.pool_ops ~fresh:NSim.make_nil ~reset ()
   in
   (* First-life node minted directly ([reset] runs sim-atomic accesses,
      so the pool can only be driven from inside a fiber). Its claim word
      is statically known — unclaimed at epoch 0 packs to the raw
      [no_tid] — so fiber 0's capture is pinned to incarnation 0 and a
      late success is a cross-incarnation claim by construction. *)
-  let n = NSim.make_sentinel () in
+  let n = NSim.make_nil () in
   let observed0 = NSim.no_tid in
   let ok0 = ref false and ok1 = ref false in
   let f0 () = ok0 := NSim.try_claim n ~observed:observed0 ~tid:0 in

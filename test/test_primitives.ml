@@ -1,10 +1,9 @@
 (* Unit and property tests for the primitives layer: RNG, backoff,
-   statistics, padded atomics and the Real_atomic wrapper. *)
+   statistics, contended atomics and the Real_atomic wrapper. *)
 
 module Rng = Wfq_primitives.Rng
 module Backoff = Wfq_primitives.Backoff
 module Stats = Wfq_primitives.Stats
-module Padded = Wfq_primitives.Padded
 module A = Wfq_primitives.Real_atomic
 
 (* ---------------------------- Rng ------------------------------- *)
@@ -193,18 +192,73 @@ let stats_mean_bounds =
       let m = Stats.mean xs in
       m >= Stats.minimum xs -. 1e-9 && m <= Stats.maximum xs +. 1e-9)
 
-(* --------------------------- Padded ----------------------------- *)
+(* ----------------------- Contended cells ------------------------ *)
 
-let test_padded_ops () =
-  let p = Padded.make 10 in
-  Alcotest.(check int) "get" 10 (Padded.get p);
-  Padded.set p 20;
-  Alcotest.(check int) "set" 20 (Padded.get p);
-  Alcotest.(check bool) "cas ok" true (Padded.compare_and_set p 20 30);
-  Alcotest.(check bool) "cas stale fails" false
-    (Padded.compare_and_set p 20 40);
-  Alcotest.(check int) "faa returns old" 30 (Padded.fetch_and_add p 5);
-  Alcotest.(check int) "faa applied" 35 (Padded.get p)
+(* Byte distance between two heap blocks. A block pointer read as an
+   OCaml int is half the address (rounded), so a difference of two such
+   reads is half the byte distance. Only meaningful while neither block
+   moves, i.e. between two collections. *)
+let byte_distance (a : 'a A.t) (b : 'a A.t) =
+  let addr (x : 'a A.t) : int = Obj.magic x in
+  2 * abs (addr a - addr b)
+
+let test_contended_size () =
+  let c = A.make_contended 0 in
+  Alcotest.(check bool) "at least 16 words" true
+    (Obj.size (Obj.repr c) >= 16);
+  Alcotest.(check int) "a plain cell is one word" 1
+    (Obj.size (Obj.repr (A.make 0)))
+
+(* The padding belongs to the cell's own block, so the copy the minor GC
+   makes at promotion keeps it. Two padded records that merely pointed
+   at one-word cells each (the older scheme) promote those cells
+   16 bytes apart. *)
+let test_contended_apart () =
+  let cells = Array.init 8 (fun i -> A.make_contended i) in
+  let apart what =
+    for i = 1 to Array.length cells - 1 do
+      let d = byte_distance cells.(i - 1) cells.(i) in
+      if d < 64 then
+        Alcotest.failf "%s: cells %d and %d are %d bytes apart" what (i - 1)
+          i d
+    done
+  in
+  apart "young";
+  Gc.minor ();
+  apart "after Gc.minor";
+  Gc.full_major ();
+  apart "after Gc.full_major";
+  Array.iteri
+    (fun i c -> Alcotest.(check int) "value kept" i (A.get c))
+    cells
+
+let test_contended_ops_promoted () =
+  let p = A.make_contended 10 in
+  let s = A.make_contended "x" in
+  Gc.minor ();
+  Gc.full_major ();
+  Alcotest.(check int) "get" 10 (A.get p);
+  A.set p 20;
+  Alcotest.(check int) "set" 20 (A.get p);
+  Alcotest.(check bool) "cas ok" true (A.compare_and_set p 20 30);
+  Alcotest.(check bool) "cas stale fails" false (A.compare_and_set p 20 40);
+  Alcotest.(check int) "exchange returns old" 30 (A.exchange p 31);
+  Alcotest.(check int) "faa returns old" 31 (A.fetch_and_add p 4);
+  Alcotest.(check int) "faa applied" 35 (A.get p);
+  (* A young value stored into a promoted cell must survive the next
+     minor collection: the write barrier sees field 0. *)
+  A.set s (String.make 3 'y');
+  Gc.minor ();
+  Alcotest.(check string) "young value kept" "yyy" (A.get s);
+  let domains =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to 10_000 do
+              ignore (A.fetch_and_add p 1)
+            done))
+  in
+  List.iter Domain.join domains;
+  Alcotest.(check int) "no lost increments" 20_035 (A.get p)
 
 (* ------------------------- Real_atomic -------------------------- *)
 
@@ -274,8 +328,15 @@ let () =
           Alcotest.test_case "empty input rejected" `Quick test_stats_empty;
           QCheck_alcotest.to_alcotest stats_mean_bounds;
         ] );
-      ( "padded",
-        [ Alcotest.test_case "all operations" `Quick test_padded_ops ] );
+      ( "contended",
+        [
+          Alcotest.test_case "one block of 16 words or more" `Quick
+            test_contended_size;
+          Alcotest.test_case "cells stay 64 bytes apart after promotion"
+            `Quick test_contended_apart;
+          Alcotest.test_case "all operations on a promoted cell" `Quick
+            test_contended_ops_promoted;
+        ] );
       ( "real_atomic",
         [
           Alcotest.test_case "CAS is physical equality" `Quick

@@ -34,7 +34,7 @@ type overhead = {
 
 val overhead_budget : float
 (** 1.02: instrumentation may cost at most 2% throughput on the pairs
-    workload (the CI bench-smoke gate). *)
+    workload (the [stats] row's guard, {!Suite.stats}). *)
 
 val measure_overhead : iters:int -> runs:int -> unit -> overhead list
 (** Disabled-vs-enabled chunks for opt WF (1+2) and WF fps: the

@@ -9,16 +9,12 @@ val print_table :
 
 val print_csv : title:string -> series list -> unit
 
-val json_string :
-  title:string -> ?meta:(string * string) list -> series list -> string
-(** Machine-readable rendering:
-    [{"title", "meta": {...}, "series": [{"label", "points": [[x, y]]}]}].
-    [meta] carries run parameters (iters, runs, …) as string pairs. *)
-
 val write_json :
   path:string ->
   title:string ->
   ?meta:(string * string) list ->
   series list ->
   unit
-(** {!json_string} written to [path] (overwriting). *)
+(** Machine-readable rendering written to [path] (overwriting):
+    [{"title", "meta": {...}, "series": [{"label", "points": [[x, y]]}]}].
+    [meta] carries run parameters (iters, runs, …) as string pairs. *)

@@ -63,30 +63,3 @@ let footprint_active (queue : Workload.queue) ~size ~iters ~samples =
   done;
   ignore (Sys.opaque_identity q);
   if !taken = 0 then live_words () - before else !acc / !taken
-
-(** Allocation-rate profile of one implementation on the pairs workload:
-    live-space (fig. 10) measures how much heap a queue {e holds};
-    this measures how fast it {e churns} — the words each operation
-    allocates, and the collection work that churn induces. Derived from
-    the per-worker [Gc.quick_stat] deltas {!Workload} records inside
-    the measured window. *)
-type alloc_profile = {
-  words_per_op : float;  (** minor-heap words allocated per operation *)
-  promoted_per_op : float;  (** of those, words promoted to the major heap *)
-  minor_collections : int;
-  major_collections : int;
-  total_ops : int;
-}
-
-let profile_of_result (r : Workload.run_result) =
-  let ops = float_of_int r.Workload.total_ops in
-  {
-    words_per_op = r.Workload.gc.Workload.minor_words /. ops;
-    promoted_per_op = r.Workload.gc.Workload.promoted_words /. ops;
-    minor_collections = r.Workload.gc.Workload.minor_collections;
-    major_collections = r.Workload.gc.Workload.major_collections;
-    total_ops = r.Workload.total_ops;
-  }
-
-let alloc_profile impl ~threads ~iters =
-  profile_of_result (Workload.pairs impl ~threads ~iters ())

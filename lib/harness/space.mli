@@ -15,20 +15,3 @@ val footprint_active : Workload.queue -> size:int -> iters:int -> samples:int ->
 (** Like {!footprint} but averaged over samples taken while an
     enqueue-dequeue workload runs over the filled queue — closer to the
     paper's mid-benchmark sampling. *)
-
-type alloc_profile = {
-  words_per_op : float;  (** minor-heap words allocated per operation *)
-  promoted_per_op : float;  (** of those, words promoted to the major heap *)
-  minor_collections : int;
-  major_collections : int;
-  total_ops : int;
-}
-(** Allocation {e rate} (heap churn per operation), complementing the
-    live-space {e footprint} above. *)
-
-val profile_of_result : Workload.run_result -> alloc_profile
-(** Derive the profile from any workload's result. *)
-
-val alloc_profile : Workload.queue -> threads:int -> iters:int -> alloc_profile
-(** {!profile_of_result} over one run of the enqueue-dequeue-pairs
-    workload (conservation-checked, as always). *)

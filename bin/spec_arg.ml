@@ -1,7 +1,8 @@
-(* The command-line converter for backend specs (docs/BACKENDS.md),
-   shared by every binary that takes one: a spec [Backends.find]
-   rejects is a usage error that names the offending part and the known
-   ids, not a backtrace. *)
+(* The command-line converters shared by the binaries: bad input is a
+   usage error (exit 124) naming the value, never a backtrace. *)
+
+(* Backend specs (docs/BACKENDS.md): a spec [Backends.find] rejects
+   names the offending part and the known ids. *)
 
 let conv : Wfq_core.Backends.t Cmdliner.Arg.conv =
   let parse s =
@@ -13,3 +14,15 @@ let conv : Wfq_core.Backends.t Cmdliner.Arg.conv =
     Format.pp_print_string ppf B.id
   in
   Cmdliner.Arg.conv (parse, print)
+
+(* Counts and rates are positive. *)
+let positive of_string zero pp =
+  let parse s =
+    match of_string s with
+    | Some v when v > zero -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Cmdliner.Arg.conv (parse, pp)
+
+let pos_int = positive int_of_string_opt 0 Format.pp_print_int
+let pos_float = positive float_of_string_opt 0. Format.pp_print_float

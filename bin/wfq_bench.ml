@@ -12,18 +12,7 @@ open Cmdliner
 module S = Wfq_harness.Suite
 module R = Wfq_harness.Report
 
-(* Counts and rates are positive: zero or less is a usage error (exit
-   124) naming the value, never a backtrace from the engine. *)
-let positive of_string zero pp =
-  let parse s =
-    match of_string s with
-    | Some v when v > zero -> Ok v
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
-  in
-  Arg.conv (parse, pp)
-
-let pos_int = positive int_of_string_opt 0 Format.pp_print_int
-let pos_float = positive float_of_string_opt 0. Format.pp_print_float
+let pos_int = Spec_arg.pos_int
 
 let opt c name ~docv doc =
   Arg.(value & opt (some c) None & info [ name ] ~docv ~doc)
@@ -124,45 +113,17 @@ let figures_cmd =
    slower from the smallest to the largest p than kp-base's — is the
    row's guard. *)
 
-module Qi = Wfq_core.Queue_intf
-module Bks = Wfq_core.Backends
 module Ck = Wfq_sim.Check
-module Sim_kp = Wfq_core.Kp_queue.Make (Wfq_sim.Sim_atomic)
 
-let cert_sim_ops (module Bk : Qi.BACKEND) : int Qi.instance Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        Bks.instantiate_with
-          (module Wfq_sim.Sim_atomic)
-          (module Bk)
-          ~num_threads ());
-    enqueue = (fun i ~tid v -> i.Qi.enq ~tid v);
-    dequeue = (fun i ~tid -> i.Qi.deq ~tid);
-    contents = (fun i -> i.Qi.dump ());
-  }
-
-(* The paper's base configuration is where the Theta(p) scans live; it
-   is deliberately not in the registry (its Help_all slow path has
-   million-trace DPOR scenarios that would sink every registry-driven
-   battery), so the bench builds it directly. *)
-let kp_base_sim_ops : int Sim_kp.t Ck.ops =
-  {
-    Ck.create = (fun ~num_threads -> Sim_kp.create ~num_threads ());
-    enqueue = (fun q ~tid v -> Sim_kp.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> Sim_kp.dequeue q ~tid);
-    contents = Sim_kp.to_list;
-  }
-
-let certified_bound (type q) name (queue : q Ck.ops) ~p =
+let certified_bound spec ~p =
   let scripts = [ `Enq 1; `Deq ] :: List.init (p - 1) (fun _ -> []) in
   match
-    Ck.certify ~mode:Ck.Dpor ~max_schedules:10_000 ~bound:1_000_000 ~queue
-      ~scripts ()
+    Ck.certify ~mode:Ck.Dpor ~max_schedules:10_000 ~bound:1_000_000
+      ~queue:(Ck.of_spec spec) ~scripts ()
   with
   | Ok c -> c.Ck.observed_bound
   | Error msg ->
-      Printf.eprintf "certify %s at p=%d failed: %s\n%!" name p msg;
+      Printf.eprintf "certify %s at p=%d failed: %s\n%!" spec p msg;
       exit 2
 
 let cert_ps = [ 2; 4; 8; 16; 32; 64; 128 ]
@@ -176,10 +137,14 @@ let cert_table () =
         points =
           List.map (fun p -> (float_of_int p, float_of_int (ops ~p))) cert_ps;
       })
-    (("kp-base", certified_bound "kp-base" kp_base_sim_ops)
-    :: List.map
-         (fun id -> (id, certified_bound id (cert_sim_ops (Bks.find id))))
-         [ "kp-opt12"; "fps-pooled"; "polylog" ])
+    [
+      (* the paper's base configuration: its Help_all + Phase_scan slow
+         path is where the Theta(p) scans live *)
+      ("kp-base", certified_bound "kp-opt12?help=all&phase=scan");
+      ("kp-opt12", certified_bound "kp-opt12");
+      ("fps-pooled", certified_bound "fps-pooled");
+      ("polylog", certified_bound "polylog");
+    ]
 
 let p_lo = List.hd cert_ps
 let p_hi = List.nth cert_ps (List.length cert_ps - 1)
@@ -343,7 +308,7 @@ let openloop_cmd =
       const (fun config rates events knee_mult knee_floor backends ->
           S.latency_openloop ~config ?rates ?events ~knee_mult ?knee_floor ?backends ())
       $ config_t
-      $ opt (Arg.list pos_float) "rates" ~docv:"LIST"
+      $ opt (Arg.list Spec_arg.pos_float) "rates" ~docv:"LIST"
           "Comma-separated offered loads in events/second (x axis; default \
            2000,4000,8000,16000)."
       $ opt pos_int "events" ~docv:"N" "Events per (backend, rate) point (default 4000)."

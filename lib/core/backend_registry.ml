@@ -12,7 +12,11 @@
     {!find} takes a spec, [<id>[?key=value&…]]: the keys override the
     entry's defaults (docs/BACKENDS.md lists them). The spec is parsed
     here, once, and the backend it returns is configured at
-    construction — nothing of the spec reaches the operation path. *)
+    construction — nothing of the spec reaches the operation path.
+
+    A seeded fault ([fault=…]) is a key only the model checker may set:
+    {!find} rejects it unless called with [~sim:true], which
+    [Wfq_sim.Check.of_spec] does. *)
 
 type t = (module Queue_intf.BACKEND)
 
@@ -45,7 +49,9 @@ let fail spec fmt =
     (fun msg -> invalid_arg (Printf.sprintf "Backends.find %S: %s" spec msg))
     fmt
 
-let find spec =
+let sim_only_keys = [ "fault" ]
+
+let find ?(sim = false) spec =
   let key, query =
     match String.index_opt spec '?' with
     | None -> (spec, None)
@@ -70,6 +76,9 @@ let find spec =
                     (match e.keys with
                     | [] -> "none"
                     | ks -> String.concat ", " ks);
+                if (not sim) && List.mem k sim_only_keys then
+                  fail spec "key %S is simulator-only (Wfq_sim.Check.of_spec)"
+                    k;
                 (k, String.sub kv (i + 1) (String.length kv - i - 1))
             | _ -> fail spec "malformed %S (expected key=value)" kv
           in

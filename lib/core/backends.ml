@@ -66,6 +66,13 @@ let int_key name ~min set : _ key =
       | Some n when n >= min -> Some (set n c)
       | _ -> None )
 
+(* A seeded fault, by name: [Backend_registry.find] accepts this key
+   only from the model checker ([~sim:true]). *)
+let fault_key faults set : _ key =
+  ( "fault",
+    String.concat " or " (List.map fst faults),
+    fun v c -> Option.map (fun f -> set (Some f) c) (List.assoc_opt v faults) )
+
 (* Register an entry whose configuration ['c] the [keys] override;
    [build ~id ~label cfg] wraps one configuration as a backend. A
    configured backend's id is its spec and its label names the
@@ -190,13 +197,26 @@ let opt12 =
 
 (* --- the fast-path/slow-path family -------------------------------- *)
 
-(* Slow path in opt (1+2), as for KP. Key: [mf] (fast-path failure
-   budget); pooling is the [fps-pooled] entry. *)
+(* Slow path in opt (1+2), as for KP. Keys: [mf] (fast-path failure
+   budget) and the seeded [fault]s; pooling is the [fps-pooled] entry. *)
 
-type fps = { mf : int; fps_pool : bool }
+type fps = {
+  mf : int;
+  fps_pool : bool;
+  fps_fault : Kp_queue_fps.fault option;
+}
 
 let fps_keys : fps key list =
-  [ int_key "mf" ~min:0 (fun n c -> { c with mf = n }) ]
+  [
+    int_key "mf" ~min:0 (fun n c -> { c with mf = n });
+    fault_key
+      [
+        ("stale-helper", Kp_queue_fps.Stale_helper_caller_phase);
+        ("no-claim", Fast_deq_no_claim);
+        ("batch-partial", Batch_partial_publish);
+      ]
+      (fun f c -> { c with fps_fault = f });
+  ]
 
 let fps ~id ~label cfg : t =
   (module struct
@@ -218,7 +238,7 @@ let fps ~id ~label cfg : t =
             obsv
         in
         let q =
-          Q.create_with ?obsv:handle
+          Q.create_with ?obsv:handle ?fault:cfg.fps_fault
             ~pool:(Option.value pool ~default:cfg.fps_pool)
             ~max_failures:cfg.mf ~help:Kp_queue_fps.Help_one_cyclic
             ~phase:Kp_queue_fps.Phase_counter ~num_threads ()
@@ -230,15 +250,22 @@ let fps ~id ~label cfg : t =
 
 (* --- the bounded ring ---------------------------------------------- *)
 
-(* Keys: [capacity] (slots) and [mf] (fast-path budget); unset keys
-   keep [Ring_queue]'s own defaults. *)
+(* Keys: [capacity] (slots), [mf] (fast-path budget) and the seeded
+   [fault]; unset keys keep [Ring_queue]'s own defaults. *)
 
-type ring = { ring_capacity : int option; ring_mf : int option }
+type ring = {
+  ring_capacity : int option;
+  ring_mf : int option;
+  ring_fault : Ring_queue.fault option;
+}
 
 let ring_keys : ring key list =
   [
     int_key "capacity" ~min:1 (fun n c -> { c with ring_capacity = Some n });
     int_key "mf" ~min:0 (fun n c -> { c with ring_mf = Some n });
+    fault_key
+      [ ("rollback-skipped", Ring_queue.Rollback_skipped) ]
+      (fun f c -> { c with ring_fault = f });
   ]
 
 let ring ~id ~label cfg : t =
@@ -265,7 +292,7 @@ let ring ~id ~label cfg : t =
         in
         let q =
           Q.create_with ?capacity:cfg.ring_capacity ?max_failures:cfg.ring_mf
-            ?obsv:handle ~num_threads ()
+            ?fault:cfg.ring_fault ?obsv:handle ~num_threads ()
         in
         Option.iter (fun (r, p) -> Q.register_metrics q r ~prefix:p) obsv;
         q
@@ -274,30 +301,36 @@ let ring ~id ~label cfg : t =
 
 (* --- the polylog tournament tree ----------------------------------- *)
 
-module Polylog : Queue_intf.BACKEND = struct
-  let id = "polylog"
-  let label = "WF polylog"
-  let family = "polylog"
-  let capacity = None
-  let sim_safe = true
+(* Key: the seeded [fault]. *)
 
-  module Make (A : ATOMIC) = struct
-    module Q = Polylog_queue.Make (A)
-    include Unbounded (Q)
-    include Q
+let polylog_keys : Polylog_queue.fault option key list =
+  [ fault_key [ ("no-double-refresh", Polylog_queue.No_double_refresh) ] Fun.const ]
 
-    (* Append-only block logs: no nodes to recycle, [?pool] ignored. *)
-    let create ?obsv ?pool:_ ~num_threads () =
-      let handle =
-        Option.map
-          (fun (r, p) -> Polylog_queue.metrics r ~prefix:p ~slots:num_threads)
-          obsv
-      in
-      let q = Q.create_with ?obsv:handle ~num_threads () in
-      Option.iter (fun (r, p) -> Q.register_metrics q r ~prefix:p) obsv;
-      q
-  end
-end
+let polylog ~id ~label fault : t =
+  (module struct
+    let id = id
+    let label = label
+    let family = "polylog"
+    let capacity = None
+    let sim_safe = true
+
+    module Make (A : ATOMIC) = struct
+      module Q = Polylog_queue.Make (A)
+      include Unbounded (Q)
+      include Q
+
+      (* Append-only block logs: no nodes to recycle, [?pool] ignored. *)
+      let create ?obsv ?pool:_ ~num_threads () =
+        let handle =
+          Option.map
+            (fun (r, p) -> Polylog_queue.metrics r ~prefix:p ~slots:num_threads)
+            obsv
+        in
+        let q = Q.create_with ?fault ?obsv:handle ~num_threads () in
+        Option.iter (fun (r, p) -> Q.register_metrics q r ~prefix:p) obsv;
+        q
+    end
+  end)
 
 (* --- the paper's baselines ----------------------------------------- *)
 
@@ -305,9 +338,10 @@ end
    single-element operations, [try_enqueue] always accepts, and the
    metrics hookup is the [.depth] gauge alone. The structural audit is
    the queue's own where it has one ([Ms_queue], [Lms_queue]); the
-   others go through [Unaudited]. Not simulator-safe (the blocking
-   queues hold [Mutex]es), so the DPOR battery skips them; the
-   real-domain suites and the benches run them like any other entry. *)
+   others go through [Unaudited]. [lf] and [kp-hp] run under the
+   simulator; the blocking queues hold [Mutex]es, so the DPOR battery
+   skips them ([sim_safe = false]) and the real-domain suites and the
+   benches run them like any other entry. *)
 
 module type BASELINE = sig
   module Make (A : ATOMIC) : Queue_intf.CHECKABLE_QUEUE
@@ -324,13 +358,13 @@ struct
   end
 end
 
-let baseline (module F : BASELINE) ~id ~label : t =
+let baseline ?(sim_safe = false) (module F : BASELINE) ~id ~label : t =
   (module struct
     let id = id
     let label = label
     let family = "baseline"
     let capacity = None
-    let sim_safe = false
+    let sim_safe = sim_safe
 
     module Make (A : ATOMIC) = struct
       module Q = F.Make (A)
@@ -378,13 +412,26 @@ module Lf_pooled = struct
   end
 end
 
-module Kp_hp = Unaudited (struct
-  module Make (A : ATOMIC) = struct
-    include Kp_queue_hp.Make (A)
+(* [kp-hp]'s keys: the hazard-pointer scan trigger and the per-thread
+   recycling pool's capacity (small values force recycling pressure). *)
+type hp = { scan_threshold : int option; pool_capacity : int option }
 
-    let create ~num_threads () = create ~num_threads ()
-  end
-end)
+let hp_keys : hp key list =
+  [
+    int_key "scan-threshold" ~min:1 (fun n c -> { c with scan_threshold = Some n });
+    int_key "pool-capacity" ~min:1 (fun n c -> { c with pool_capacity = Some n });
+  ]
+
+let kp_hp cfg : (module BASELINE) =
+  (module Unaudited (struct
+    module Make (A : ATOMIC) = struct
+      include Kp_queue_hp.Make (A)
+
+      let create ~num_threads () =
+        create ?scan_threshold:cfg.scan_threshold
+          ?pool_capacity:cfg.pool_capacity ~num_threads ()
+    end
+  end))
 
 module Fc = Unaudited (struct
   module Make = Fc_queue.Make
@@ -401,8 +448,10 @@ end)
 (* --- registration (one line per entry) ----------------------------- *)
 
 let () =
-  let default_fps = { mf = Kp_queue_fps.default_max_failures; fps_pool = false } in
-  let no_ring = { ring_capacity = None; ring_mf = None } in
+  let default_fps =
+    { mf = Kp_queue_fps.default_max_failures; fps_pool = false; fps_fault = None }
+  in
+  let no_ring = { ring_capacity = None; ring_mf = None; ring_fault = None } in
   register ~id:"kp-opt12" ~label:"opt WF (1+2)" ~keys:kp_keys ~build:kp opt12;
   register ~id:"kp-opt12-pooled" ~label:"opt WF (1+2) pooled" ~keys:kp_keys
     ~build:kp { opt12 with kp_pool = true };
@@ -410,18 +459,25 @@ let () =
   register ~id:"fps-pooled" ~label:"WF fps pooled" ~keys:fps_keys ~build:fps
     { default_fps with fps_pool = true };
   register ~id:"ring" ~label:"WF ring" ~keys:ring_keys ~build:ring no_ring;
-  Backend_registry.register (module Polylog);
+  register ~id:"polylog" ~label:"WF polylog" ~keys:polylog_keys ~build:polylog
+    None;
   register ~id:"lf" ~label:"LF"
     ~keys:[ bool_key "pool" (fun b _ -> b) ]
     ~build:(fun ~id ~label pool ->
-      baseline (if pool then (module Lf_pooled) else (module Ms_queue)) ~id ~label)
+      baseline ~sim_safe:true
+        (if pool then (module Lf_pooled) else (module Ms_queue))
+        ~id ~label)
     false;
-  List.iter
-    (fun (family, id, label) ->
-      Backend_registry.register (baseline family ~id ~label))
+  let register_baselines =
+    List.iter (fun (family, id, label) ->
+        Backend_registry.register (baseline family ~id ~label))
+  in
+  register_baselines [ ((module Lms_queue), "lms", "LF optimistic") ];
+  register ~id:"kp-hp" ~label:"WF hazard-ptr" ~keys:hp_keys
+    ~build:(fun ~id ~label cfg -> baseline ~sim_safe:true (kp_hp cfg) ~id ~label)
+    { scan_threshold = None; pool_capacity = None };
+  register_baselines
     [
-      ((module Lms_queue), "lms", "LF optimistic");
-      ((module Kp_hp), "kp-hp", "WF hazard-ptr");
       ((module Fc), "flat-combining", "flat-combining");
       ((module Two_lock), "two-lock", "two-lock");
       ((module Mutex_q), "mutex", "mutex");

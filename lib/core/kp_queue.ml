@@ -632,7 +632,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      claimed by [tid], its head swing has not landed yet (the previous
      element's step 3). Finish it before seeking — recording a
      sentinel this batch already claimed would append its successor's
-     value twice. *)
+     value twice. The claim word is read after the descriptor: a
+     claim-then-append by another helper between an earlier check and
+     the descriptor read would otherwise let this helper re-record the
+     consumed sentinel on the post-append descriptor (a duplicate
+     delivery DPOR finds under Help_all + Phase_scan). *)
   let rec help_batch_deq t ~self tid phase =
     if is_still_pending t tid phase then begin
       let first = A.get t.head in
@@ -640,11 +644,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       let last = A.get t.tail in
       let next = A.get first.next in
       if first == A.get t.head then
-        if N.claimed_tid first = tid then begin
-          help_finish_deq t ~self;
-          help_batch_deq t ~self tid phase
-        end
-        else if first == last then begin
+        if first == last then begin
           match next with
           | None ->
               (* Empty: the batch completes with whatever it has. *)
@@ -668,7 +668,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         else begin
           let cur_desc = A.get t.state.(tid) in
           let node = cur_desc.node in
-          if is_still_pending t tid phase then begin
+          if N.claimed_tid first = tid then begin
+            help_finish_deq t ~self;
+            help_batch_deq t ~self tid phase
+          end
+          else if is_still_pending t tid phase then begin
             let points_to_first =
               match node with Some n -> n == first | None -> false
             in

@@ -36,7 +36,36 @@ type 'q ops = {
   enqueue : 'q -> tid:int -> int -> unit;
   dequeue : 'q -> tid:int -> int option;
   contents : 'q -> int list;
+  try_enqueue : ('q -> tid:int -> int -> bool) option;
+  enqueue_batch : ('q -> tid:int -> int list -> unit) option;
+  try_enqueue_batch : ('q -> tid:int -> int list -> int) option;
+  dequeue_batch : ('q -> tid:int -> n:int -> int list) option;
+  capacity : int option;
+  audit : ('q -> (unit, string) result) option;
 }
+
+module Qi = Wfq_core.Queue_intf
+
+let of_instance ?capacity create : int Qi.instance ops =
+  {
+    create;
+    enqueue = (fun i ~tid v -> i.Qi.enq ~tid v);
+    dequeue = (fun i ~tid -> i.Qi.deq ~tid);
+    contents = (fun i -> i.Qi.dump ());
+    try_enqueue = Some (fun i ~tid v -> i.Qi.try_enq ~tid v);
+    enqueue_batch = Some (fun i ~tid vs -> i.Qi.enq_batch ~tid vs);
+    try_enqueue_batch = Some (fun i ~tid vs -> i.Qi.try_enq_batch ~tid vs);
+    dequeue_batch = Some (fun i ~tid ~n -> i.Qi.deq_batch ~tid ~n);
+    capacity;
+    audit = Some (fun i -> i.Qi.check ());
+  }
+
+let of_spec spec =
+  let ((module B : Qi.BACKEND) as b) = Wfq_core.Backends.find ~sim:true spec in
+  if not B.sim_safe then
+    invalid_arg (Printf.sprintf "Check.of_spec %S: not simulator-safe" spec);
+  let make = Wfq_core.Backends.instantiate_with (module Sim_atomic) b in
+  of_instance ?capacity:B.capacity (fun ~num_threads -> make ~num_threads ())
 
 type mode =
   | Dpor  (** one schedule per Mazurkiewicz trace; exhaustive coverage *)
@@ -49,6 +78,8 @@ type failure = {
   message : string;
   forced : int list;  (** the failing schedule, replayable as-is *)
   shrunk : Shrink.t option;
+  history : H.completed list;
+  verdict : C.verdict;
 }
 
 type report = {
@@ -77,9 +108,11 @@ let ops_in scripts init =
 (* Build the fiber vector + post-run check for one execution. Shared
    with every exploration mode and with the shrinker, so all replay the
    same scenario. *)
-let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
-    ?try_enqueue_batch ?dequeue_batch ?capacity ?step_bound ?extra_check
-    ~max_fiber_steps () =
+let need op = function
+  | Some f -> f
+  | None -> invalid_arg ("Check: " ^ op ^ " script op on a queue without it")
+
+let scenario ~queue:ops ~scripts ~init ?step_bound ~max_fiber_steps () =
   let num_threads = List.length scripts in
   let q = ops.create ~num_threads in
   let hist = H.create () in
@@ -101,13 +134,7 @@ let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
             ops.enqueue q ~tid v;
             H.return hist ~thread:tid H.Done
         | `Try_enq v -> (
-            let try_enq =
-              match try_enqueue with
-              | Some f -> f
-              | None ->
-                  invalid_arg
-                    "Check: `Try_enq script op without ~try_enqueue"
-            in
+            let try_enq = need "`Try_enq" ops.try_enqueue in
             H.call hist ~thread:tid (H.Enq v);
             match try_enq q ~tid v with
             | true -> H.return hist ~thread:tid H.Done
@@ -124,13 +151,7 @@ let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
            FIFO. *)
         | `Enq_batch vs ->
             if vs <> [] then begin
-              let f =
-                match enqueue_batch with
-                | Some f -> f
-                | None ->
-                    invalid_arg
-                      "Check: `Enq_batch script op without ~enqueue_batch"
-              in
+              let f = need "`Enq_batch" ops.enqueue_batch in
               H.call_batch hist ~thread:tid
                 (List.map (fun v -> H.Enq v) vs);
               f q ~tid vs;
@@ -139,14 +160,7 @@ let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
             end
         | `Try_enq_batch vs ->
             if vs <> [] then begin
-              let f =
-                match try_enqueue_batch with
-                | Some f -> f
-                | None ->
-                    invalid_arg
-                      "Check: `Try_enq_batch script op without \
-                       ~try_enqueue_batch"
-              in
+              let f = need "`Try_enq_batch" ops.try_enqueue_batch in
               H.call_batch hist ~thread:tid
                 (List.map (fun v -> H.Enq v) vs);
               let accepted = f q ~tid vs in
@@ -161,13 +175,7 @@ let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
             end
         | `Deq_batch want ->
             if want > 0 then begin
-              let f =
-                match dequeue_batch with
-                | Some f -> f
-                | None ->
-                    invalid_arg
-                      "Check: `Deq_batch script op without ~dequeue_batch"
-              in
+              let f = need "`Deq_batch" ops.dequeue_batch in
               H.call_batch hist ~thread:tid
                 (List.init want (fun _ -> H.Deq));
               let got = f q ~tid ~n:want in
@@ -230,19 +238,23 @@ let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
             (Printf.sprintf "conservation violated: %d enq, %d deq, %d left"
                (List.length enqueued) (List.length dequeued)
                (List.length left))
-        else if not (C.is_linearizable ?capacity completed) then
+        else if not (C.is_linearizable ?capacity:ops.capacity completed) then
           Error (Format.asprintf "not linearizable:@.%a" C.pp_history completed)
         else
-          match extra_check with
+          match ops.audit with
           | None -> Ok ()
           | Some f -> S.ignore_yields (fun () -> f q))
   in
-  (Array.of_list (List.mapi fiber scripts), check)
+  (Array.of_list (List.mapi fiber scripts), check, hist)
+
+let make_scenario ~queue ~scripts ~init ?step_bound ~max_fiber_steps () =
+  let fibers, check, _ =
+    scenario ~queue ~scripts ~init ?step_bound ~max_fiber_steps ()
+  in
+  (fibers, check)
 
 let run ?(mode = Dpor) ?max_schedules ?step_limit ?step_bound
-    ?(shrink = true) ?(init = []) ?try_enqueue ?enqueue_batch
-    ?try_enqueue_batch ?dequeue_batch ?capacity ?extra_check ~queue ~scripts
-    () =
+    ?(shrink = true) ?(init = []) ~queue ~scripts () =
   if scripts = [] then invalid_arg "Check.run: no scripts";
   if ops_in scripts init > 62 then
     invalid_arg
@@ -250,9 +262,7 @@ let run ?(mode = Dpor) ?max_schedules ?step_limit ?step_bound
        bitmask limit)";
   let max_fiber_steps = ref 0 in
   let make () =
-    make_scenario ~queue ~scripts ~init ?try_enqueue ?enqueue_batch
-      ?try_enqueue_batch ?dequeue_batch ?capacity ?step_bound ?extra_check
-      ~max_fiber_steps ()
+    make_scenario ~queue ~scripts ~init ?step_bound ~max_fiber_steps ()
   in
   let schedules, exhausted, raw_failure =
     match mode with
@@ -288,7 +298,24 @@ let run ?(mode = Dpor) ?max_schedules ?step_limit ?step_bound
                 None
           else None
         in
-        { message; forced; shrunk })
+        (* Replay the minimal schedule on a fresh scenario, [init]
+           included, for the history the checker judged. *)
+        let fibers, _, hist =
+          scenario ~queue ~scripts ~init ~max_fiber_steps:(ref 0) ()
+        in
+        let minimal =
+          match shrunk with Some s -> s.Shrink.forced | None -> forced
+        in
+        let history =
+          match
+            S.run ~step_limit:(Option.value step_limit ~default:100_000)
+              ~forced:minimal fibers
+          with
+          | _ -> H.completed hist
+          | exception Invalid_argument _ -> []
+        in
+        let verdict = C.check ?capacity:queue.capacity history in
+        { message; forced; shrunk; history; verdict })
       raw_failure
   in
   { schedules; exhausted; max_fiber_steps = !max_fiber_steps; failure }
@@ -297,13 +324,10 @@ let run ?(mode = Dpor) ?max_schedules ?step_limit ?step_bound
 
 type certificate = { observed_bound : int; schedules : int }
 
-let certify ?mode ?max_schedules ?step_limit ?init ?try_enqueue
-    ?enqueue_batch ?try_enqueue_batch ?dequeue_batch ?capacity ?extra_check
-    ~bound ~queue ~scripts () =
+let certify ?mode ?max_schedules ?step_limit ?init ~bound ~queue ~scripts () =
   let r =
-    run ?mode ?max_schedules ?step_limit ~step_bound:bound ?init
-      ?try_enqueue ?enqueue_batch ?try_enqueue_batch ?dequeue_batch
-      ?capacity ?extra_check ~queue ~scripts ()
+    run ?mode ?max_schedules ?step_limit ~step_bound:bound ?init ~queue
+      ~scripts ()
   in
   match r.failure with
   | Some f ->
@@ -324,8 +348,11 @@ let certify ?mode ?max_schedules ?step_limit ?init ?try_enqueue
       else Ok { observed_bound = r.max_fiber_steps; schedules = r.schedules }
 
 let pp_failure ppf f =
-  match f.shrunk with
+  (match f.shrunk with
   | Some s -> Shrink.pp ppf s
   | None ->
       Format.fprintf ppf "@[<v>failing schedule (%d decisions, unshrunk):@,%s@]"
-        (List.length f.forced) f.message
+        (List.length f.forced) f.message);
+  Format.fprintf ppf
+    "@.history under the minimal schedule:@.%a@.checker verdict: %a@."
+    C.pp_history f.history C.pp_verdict f.verdict

@@ -14,11 +14,11 @@ type script =
   list
 (** [`Try_enq] is the bounded-queue insert: it records [Done] when the
     queue accepted the element and [Rejected] when it reported full,
-    and requires [~try_enqueue] (and normally [~capacity]) to be passed
-    to {!run}/{!make_scenario}.
+    and requires the queue's [try_enqueue] (and normally its
+    [capacity]).
 
-    The batch ops require the corresponding [~enqueue_batch] /
-    [~try_enqueue_batch] / [~dequeue_batch] implementation. Each
+    The batch ops require the corresponding [enqueue_batch] /
+    [try_enqueue_batch] / [dequeue_batch] capability. Each
     expands into one history sub-op per element — invoked together
     before the batch runs, answered together after — so each element
     linearizes inside its interval and the checker's per-thread
@@ -34,7 +34,38 @@ type 'q ops = {
   enqueue : 'q -> tid:int -> int -> unit;
   dequeue : 'q -> tid:int -> int option;
   contents : 'q -> int list;  (** quiescent snapshot, oldest first *)
+  try_enqueue : ('q -> tid:int -> int -> bool) option;
+      (** the bounded insert behind [`Try_enq] *)
+  enqueue_batch : ('q -> tid:int -> int list -> unit) option;
+  try_enqueue_batch : ('q -> tid:int -> int list -> int) option;
+  dequeue_batch : ('q -> tid:int -> n:int -> int list) option;
+  capacity : int option;
+      (** [Some c] judges histories against the bounded-queue
+          specification of capacity [c] *)
+  audit : ('q -> (unit, string) result) option;
+      (** structural audit, run at quiescence after every explored
+          schedule (outside the scheduler, yields ignored) *)
 }
+(** The queue under test and its optional capabilities. Registry
+    backends come from {!of_spec}; a hand-written record is for
+    single-algorithm unit tests and deliberately broken mutants. *)
+
+val of_spec : string -> int Wfq_core.Queue_intf.instance ops
+(** The simulator-plane queue a registry spec names
+    ([Wfq_core.Backends.find ~sim:true], so seeded [fault=…] keys are
+    accepted), instantiated over {!Sim_atomic} with every capability:
+    bounded insert, batches, the entry's capacity and its
+    [check_quiescent_invariants] audit.
+
+    @raise Invalid_argument for a spec the registry rejects or a backend
+    that is not [sim_safe]. *)
+
+val of_instance :
+  ?capacity:int ->
+  (num_threads:int -> int Wfq_core.Queue_intf.instance) ->
+  int Wfq_core.Queue_intf.instance ops
+(** {!of_spec}'s wrapper, for simulator-plane front-ends that are not
+    registry entries (a [Wfq_shard] over [Sim_atomic]). *)
 
 type mode =
   | Dpor  (** one schedule per Mazurkiewicz trace; exhaustive coverage *)
@@ -47,6 +78,11 @@ type failure = {
   message : string;
   forced : int list;  (** the failing schedule, replayable as-is *)
   shrunk : Shrink.t option;
+  history : Wfq_lincheck.History.completed list;
+      (** the history recorded when the minimal (shrunk, else raw)
+          schedule is replayed on a fresh scenario, [init] included *)
+  verdict : Wfq_lincheck.Checker.verdict;
+      (** the linearizability checker's verdict on [history] *)
 }
 
 type report = {
@@ -62,13 +98,7 @@ val make_scenario :
   queue:'q ops ->
   scripts:script list ->
   init:int list ->
-  ?try_enqueue:('q -> tid:int -> int -> bool) ->
-  ?enqueue_batch:('q -> tid:int -> int list -> unit) ->
-  ?try_enqueue_batch:('q -> tid:int -> int list -> int) ->
-  ?dequeue_batch:('q -> tid:int -> n:int -> int list) ->
-  ?capacity:int ->
   ?step_bound:int ->
-  ?extra_check:('q -> (unit, string) result) ->
   max_fiber_steps:int ref ->
   unit ->
   (unit -> unit) array * (Scheduler.result -> (unit, string) result)
@@ -84,35 +114,26 @@ val run :
   ?step_bound:int ->
   ?shrink:bool ->
   ?init:int list ->
-  ?try_enqueue:('q -> tid:int -> int -> bool) ->
-  ?enqueue_batch:('q -> tid:int -> int list -> unit) ->
-  ?try_enqueue_batch:('q -> tid:int -> int list -> int) ->
-  ?dequeue_batch:('q -> tid:int -> n:int -> int list) ->
-  ?capacity:int ->
-  ?extra_check:('q -> (unit, string) result) ->
   queue:'q ops ->
   scripts:script list ->
   unit ->
   report
 (** Explore and check the scenario. [step_bound] turns on the
     wait-freedom certifier: any schedule in which some fiber exceeds the
-    bound is a failure. [extra_check] runs per schedule after the
-    built-in checks, outside the scheduler (yields ignored). [shrink]
-    (default true) delta-debugs any failing schedule. Total operation
-    count (scripts + init) is capped at 62 by the linearizability
-    checker.
-
-    [try_enqueue] implements the [`Try_enq] script op (required when a
-    script uses it); [capacity] switches the linearizability check to
-    the bounded-queue specification with that capacity (conservation
-    always ignores rejected enqueues).
+    bound is a failure. The queue's [audit] runs per schedule after the
+    built-in checks. [shrink] (default true) delta-debugs any failing
+    schedule, and the failure carries the history replayed under the
+    minimal schedule. Total operation count (scripts + init) is capped
+    at 62 by the linearizability checker. Conservation always ignores
+    rejected enqueues.
 
     Under [Dpor], [max_schedules] bounds total executions (complete +
     pruned); a [step_limit] hit is reported as a livelock/starvation
     failure. *)
 
 val pp_failure : Format.formatter -> failure -> unit
-(** The shrunk schedule when available, otherwise the raw message. *)
+(** The shrunk schedule when available, otherwise the raw message;
+    then the replayed history and the checker's verdict. *)
 
 type certificate = {
   observed_bound : int;
@@ -126,12 +147,6 @@ val certify :
   ?max_schedules:int ->
   ?step_limit:int ->
   ?init:int list ->
-  ?try_enqueue:('q -> tid:int -> int -> bool) ->
-  ?enqueue_batch:('q -> tid:int -> int list -> unit) ->
-  ?try_enqueue_batch:('q -> tid:int -> int list -> int) ->
-  ?dequeue_batch:('q -> tid:int -> n:int -> int list) ->
-  ?capacity:int ->
-  ?extra_check:('q -> (unit, string) result) ->
   bound:int ->
   queue:'q ops ->
   scripts:script list ->

@@ -14,8 +14,6 @@ module D = Wfq_sim.Dpor
 module E = Wfq_sim.Explore
 module Sh = Wfq_sim.Shrink
 module Ck = Wfq_sim.Check
-module KpSim = Wfq_core.Kp_queue.Make (SA)
-module FpsSim = Wfq_core.Kp_queue_fps.Make (SA)
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -236,28 +234,7 @@ let test_shrink_rejects_passing_schedule () =
 (* Forced-replay determinism (the shrinker's core assumption)         *)
 (* ------------------------------------------------------------------ *)
 
-let kp_opt_ops : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        KpSim.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-          ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ());
-    enqueue = (fun q ~tid v -> KpSim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> KpSim.dequeue q ~tid);
-    contents = KpSim.to_list;
-  }
-
-let fps_ops ?fault ~max_failures () : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        FpsSim.create_with ?fault ~max_failures
-          ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-          ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ());
-    enqueue = (fun q ~tid v -> FpsSim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> FpsSim.dequeue q ~tid);
-    contents = FpsSim.to_list;
-  }
+let kp_opt_ops = Ck.of_spec "kp-opt12"
 
 let test_replay_determinism () =
   let mfs = ref 0 in
@@ -416,6 +393,12 @@ let ms_blind_ops : _ Ck.ops =
     enqueue = (fun q ~tid v -> Ms_blind.enqueue q ~tid v);
     dequeue = (fun q ~tid -> Ms_blind.dequeue q ~tid);
     contents = Ms_blind.to_list;
+    try_enqueue = None;
+    enqueue_batch = None;
+    try_enqueue_batch = None;
+    dequeue_batch = None;
+    capacity = None;
+    audit = None;
   }
 
 let shrunk_length (f : Ck.failure) =
@@ -442,39 +425,12 @@ let test_seeded_blind_swing_caught () =
       Alcotest.(check bool) "conservation violation reported" true
         (contains_sub f.Ck.message "conservation")
 
-let test_seeded_fast_deq_no_claim_caught () =
-  (* The fast/slow handshake bug proper: fast-path dequeues that swing
-     [head] without claiming [deq_tid] race a slow dequeue that already
-     owns the sentinel into a duplicate delivery. Needs a fast dequeue
-     concurrent with a claimed-but-unfinished slow dequeue, so the
-     scenario gives fiber 0 two fast dequeues and starves fiber 1 into
-     the slow path (max_failures = 1). *)
-  let r =
-    Ck.run ~mode:Ck.Dpor ~max_schedules:10_000 ~init:[ 1; 2 ]
-      ~queue:
-        (fps_ops ~fault:Wfq_core.Kp_queue_fps.Fast_deq_no_claim
-           ~max_failures:1 ())
-      ~scripts:[ [ `Deq; `Deq ]; [ `Deq ] ]
-      ()
-  in
-  match r.Ck.failure with
-  | None -> Alcotest.fail "Fast_deq_no_claim not caught"
-  | Some f ->
-      Alcotest.(check bool) "found quickly" true (r.Ck.schedules <= 100);
-      let len = shrunk_length f in
-      (* 34 before PR 4; the epoch-tagged claim protocol added one
-         claim-word read per dequeue attempt, lengthening the minimal
-         counterexample to 37 decisions. *)
-      Alcotest.(check bool)
-        (Printf.sprintf "shrunk trace <= 37 decisions (got %d)" len)
-        true (len <= 37)
-
 let test_fps_clean_baseline () =
-  (* Same scenario shape, no fault: every trace linearizable and
-     element-conserving. *)
+  (* The no-claim fault row's queue (Wfq_sim.Litmus) without the fault:
+     every trace linearizable and element-conserving. *)
   let r =
     Ck.run ~mode:Ck.Dpor ~max_schedules:50_000 ~init:[ 1; 2 ]
-      ~queue:(fps_ops ~max_failures:1 ())
+      ~queue:(Ck.of_spec "fps?mf=1")
       ~scripts:[ [ `Deq ]; [ `Deq ] ]
       ()
   in
@@ -482,40 +438,6 @@ let test_fps_clean_baseline () =
   | None -> ()
   | Some f -> Alcotest.failf "clean queue failed: %a" Ck.pp_failure f);
   Alcotest.(check bool) "exhausted" true r.Ck.exhausted
-
-(* ------------------------------------------------------------------ *)
-(* PR 2 stale-helper regression, re-found systematically              *)
-(* ------------------------------------------------------------------ *)
-
-let test_stale_helper_refound_by_dpor () =
-  (* PR 2's livelock (docs/FASTPATH.md): helpers helping at the caller's
-     phase bound instead of the descriptor's own latch onto the helped
-     thread's *next* operation. Originally found by random fuzz;
-     here DPOR re-finds it by systematic search — no hand-pinned
-     schedule — and the shrinker must do at least as well as the
-     49-decision trace recorded in docs/FASTPATH.md. *)
-  let r =
-    Ck.run ~mode:Ck.Dpor ~max_schedules:250_000 ~step_limit:2_000
-      ~init:[ 1 ]
-      ~queue:
-        (fps_ops ~fault:Wfq_core.Kp_queue_fps.Stale_helper_caller_phase
-           ~max_failures:0 ())
-      ~scripts:[ [ `Deq; `Enq 7 ]; [ `Deq ] ]
-      ()
-  in
-  match r.Ck.failure with
-  | None -> Alcotest.fail "stale-helper livelock not re-found by DPOR"
-  | Some f ->
-      Alcotest.(check bool) "manifests as starvation/livelock" true
-        (contains_sub f.Ck.message "step limit");
-      let len = shrunk_length f in
-      (* docs/FASTPATH.md recorded 49 decisions before PR 4; the
-         epoch-tagged claim protocol's extra claim-word read per
-         help_deq iteration stretches the minimal trace to 51. *)
-      Alcotest.(check bool)
-        (Printf.sprintf
-           "shrunk trace <= docs/FASTPATH.md's 51 decisions (got %d)" len)
-        true (len <= 51)
 
 let () =
   Alcotest.run "dpor"
@@ -552,11 +474,7 @@ let () =
         [
           Alcotest.test_case "dropped CAS guard (MS mutant)" `Quick
             test_seeded_blind_swing_caught;
-          Alcotest.test_case "Fast_deq_no_claim (fps)" `Quick
-            test_seeded_fast_deq_no_claim_caught;
           Alcotest.test_case "clean fps baseline" `Quick
             test_fps_clean_baseline;
-          Alcotest.test_case "stale-helper livelock re-found" `Slow
-            test_stale_helper_refound_by_dpor;
         ] );
     ]

@@ -137,6 +137,12 @@ let variant_sim_ops (help, phase, tuning) : _ Ck.ops =
     enqueue = (fun q ~tid v -> KpSim.enqueue q ~tid v);
     dequeue = (fun q ~tid -> KpSim.dequeue q ~tid);
     contents = KpSim.to_list;
+    try_enqueue = None;
+    enqueue_batch = None;
+    try_enqueue_batch = None;
+    dequeue_batch = None;
+    capacity = None;
+    audit = None;
   }
 
 let test_variant_certified (name, help, phase, tuning) () =

@@ -298,6 +298,12 @@ let kp_ops ~obsv : _ Ck.ops =
     enqueue = (fun q ~tid v -> KpSim.enqueue q ~tid v);
     dequeue = (fun q ~tid -> KpSim.dequeue q ~tid);
     contents = KpSim.to_list;
+    try_enqueue = None;
+    enqueue_batch = None;
+    try_enqueue_batch = None;
+    dequeue_batch = None;
+    capacity = None;
+    audit = None;
   }
 
 (* Obsv cells are plain OCaml slots, not Sim_atomic cells: an

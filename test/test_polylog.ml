@@ -1,13 +1,12 @@
 (* Polylog tournament-tree queue (Wfq_core.Polylog_queue): sequential
    and batch semantics, white-box probes, real-domain stress, and the
-   model-checked litmuses — DPOR linearizability, the seeded
-   No_double_refresh fault, and the certified step bound whose growth
-   with p the crossover bench compares against KP. *)
+   model-checked litmuses — DPOR linearizability and the certified step
+   bound whose growth with p the crossover bench compares against KP.
+   The seeded No_double_refresh fault is a row of Wfq_sim.Litmus, run
+   by test_litmus. *)
 
 module A = Wfq_primitives.Real_atomic
 module P = Wfq_core.Polylog_queue.Make (A)
-module SA = Wfq_sim.Sim_atomic
-module PSim = Wfq_core.Polylog_queue.Make (SA)
 module Ck = Wfq_sim.Check
 
 (* ------------------------------------------------------------------ *)
@@ -156,21 +155,9 @@ let test_domains_batch () =
 (* Model checking *)
 (* ------------------------------------------------------------------ *)
 
-let sim_ops ?fault () : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads -> PSim.create_with ?fault ~num_threads ());
-    enqueue = (fun q ~tid v -> PSim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> PSim.dequeue q ~tid);
-    contents = PSim.to_list;
-  }
-
-let run_litmus ?fault ?init ?mode ?(max_schedules = 400_000) scripts =
-  Ck.run ?mode ~max_schedules ?init
-    ~enqueue_batch:(fun q ~tid vs -> PSim.enqueue_batch q ~tid vs)
-    ~dequeue_batch:(fun q ~tid ~n -> PSim.dequeue_batch q ~tid ~n)
-    ~extra_check:PSim.check_quiescent_invariants
-    ~queue:(sim_ops ?fault ()) ~scripts ()
+let run_litmus ?init ?mode scripts =
+  Ck.run ?mode ~max_schedules:400_000 ?init ~queue:(Ck.of_spec "polylog")
+    ~scripts ()
 
 let expect_clean name (r : Ck.report) =
   (match r.Ck.failure with
@@ -202,21 +189,6 @@ let test_dpor_batch () =
   expect_clean "batch"
     (run_litmus [ [ `Enq_batch [ 1; 2 ] ]; [ `Deq_batch 2 ] ])
 
-(* The seeded fault: single refresh per level breaks the double-refresh
-   lemma, so some schedule leaves an announced block unmerged and the
-   op spins for its root position — the checker must report it (as a
-   livelock / step-limit hit), proving the litmus has teeth. *)
-let test_fault_caught () =
-  let r =
-    run_litmus ~fault:Wfq_core.Polylog_queue.No_double_refresh
-      ~max_schedules:400_000
-      [ [ `Enq 1 ]; [ `Enq 2; `Deq ] ]
-  in
-  match r.Ck.failure with
-  | Some _ -> ()
-  | None ->
-      Alcotest.fail "No_double_refresh survived every explored schedule"
-
 (* Wait-freedom certification at p = 2 (the crossover bench extends
    this to p = 3, 4 and compares growth against KP). *)
 let certified_step_bound = 160
@@ -224,7 +196,7 @@ let certified_step_bound = 160
 let test_certified () =
   match
     Ck.certify ~mode:Ck.Dpor ~max_schedules:400_000
-      ~bound:certified_step_bound ~queue:(sim_ops ())
+      ~bound:certified_step_bound ~queue:(Ck.of_spec "polylog")
       ~scripts:[ [ `Enq 1 ]; [ `Deq ] ]
       ()
   with
@@ -259,7 +231,6 @@ let () =
           Alcotest.test_case "pairs litmus" `Quick test_dpor_pairs;
           Alcotest.test_case "deq|deq litmus" `Quick test_dpor_deq_deq;
           Alcotest.test_case "batch litmus" `Quick test_dpor_batch;
-          Alcotest.test_case "seeded fault caught" `Quick test_fault_caught;
           Alcotest.test_case "step bound certified" `Quick test_certified;
         ] );
     ]

@@ -363,6 +363,12 @@ let fps_pooled_ops ?fault ~pool_quarantine ~max_failures () : _ Ck.ops =
     enqueue = (fun q ~tid v -> FpsSim.enqueue q ~tid v);
     dequeue = (fun q ~tid -> FpsSim.dequeue q ~tid);
     contents = FpsSim.to_list;
+    try_enqueue = None;
+    enqueue_batch = None;
+    try_enqueue_batch = None;
+    dequeue_batch = None;
+    capacity = None;
+    audit = None;
   }
 
 (* The recycle-ABA shape at queue level. With [pool_segment = 1] and

@@ -226,20 +226,10 @@ let registry_cases =
    scenario exhaustively; the two-op scenarios use bounded-preemption
    and fuzz modes (their full trace spaces are beyond any budget). Every
    row also runs the wait-freedom certifier (per-fiber step bound). *)
-module SA = Wfq_sim.Sim_atomic
 module Ck = Wfq_sim.Check
-module Hp_sim = Wfq_core.Kp_queue_hp.Make (SA)
 
-let hp_sim_ops : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        (* Tiny pool and eager scans: maximum recycling pressure. *)
-        Hp_sim.create ~scan_threshold:1 ~pool_capacity:64 ~num_threads ());
-    enqueue = (fun q ~tid v -> Hp_sim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> Hp_sim.dequeue q ~tid);
-    contents = Hp_sim.to_list;
-  }
+(* Tiny pool and eager scans: maximum recycling pressure. *)
+let hp_sim_ops = Ck.of_spec "kp-hp?scan-threshold=1&pool-capacity=64"
 
 let check_hp_clean name (r : Ck.report) =
   (match r.Ck.failure with
@@ -301,20 +291,7 @@ let hp_sim_cases =
    validation — inside DPOR-exhaustible trace spaces; the two-op rows
    use bounded-preemption and fuzz, as for kp-hp above. Every row runs
    the wait-freedom certifier and the quiescent structural audit. *)
-module Ring_sim = Wfq_core.Ring_queue.Make (SA)
-
-let ring_sim_ops ~capacity ~max_failures : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        Ring_sim.create_with ~capacity ~max_failures ~num_threads ());
-    enqueue = (fun q ~tid v -> Ring_sim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> Ring_sim.dequeue q ~tid);
-    contents = Ring_sim.to_list;
-  }
-
-let ring_try_enq q ~tid v = Ring_sim.try_enqueue q ~tid v
-let ring_audit q = Ring_sim.check_quiescent_invariants q
+let ring_sim_ops = Ck.of_spec "ring?capacity=2&mf=1"
 
 let check_ring_clean name (r : Ck.report) =
   (match r.Ck.failure with
@@ -325,29 +302,14 @@ let check_ring_clean name (r : Ck.report) =
 let test_ring_sim_enq_deq_dpor () =
   check_ring_clean "ring enq|deq under dpor"
     (Ck.run ~mode:Ck.Dpor ~max_schedules:100_000 ~step_bound:120
-       ~try_enqueue:ring_try_enq ~capacity:2 ~extra_check:ring_audit
-       ~queue:(ring_sim_ops ~capacity:2 ~max_failures:1)
+       ~queue:ring_sim_ops
        ~scripts:[ [ `Enq 1 ]; [ `Deq ] ]
-       ())
-
-let test_ring_sim_full_race_dpor () =
-  (* Capacity-1 ring pre-filled to the brim: Try_enq must linearize to
-     Rejected or Done depending on whether the racing Deq's removal has
-     happened — the bounded spec's hardest corner. All-slow-path. *)
-  check_ring_clean "ring try_enq|deq on full capacity-1 ring under dpor"
-    (Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~step_bound:120
-       ~init:[ 9 ] ~try_enqueue:ring_try_enq ~capacity:1
-       ~extra_check:ring_audit
-       ~queue:(ring_sim_ops ~capacity:1 ~max_failures:0)
-       ~scripts:[ [ `Try_enq 1 ]; [ `Deq ] ]
        ())
 
 let test_ring_sim_pairs_pb () =
   check_ring_clean "ring pairs under <=2 preemptions"
     (Ck.run ~mode:(Ck.Preemption_bounded 2) ~max_schedules:100_000
-       ~step_bound:200 ~try_enqueue:ring_try_enq ~capacity:2
-       ~extra_check:ring_audit
-       ~queue:(ring_sim_ops ~capacity:2 ~max_failures:1)
+       ~step_bound:200 ~queue:ring_sim_ops
        ~scripts:[ [ `Enq 1; `Deq ]; [ `Enq 2; `Deq ] ]
        ())
 
@@ -355,9 +317,7 @@ let test_ring_sim_pairs_fuzz () =
   let r =
     Ck.run
       ~mode:(Ck.Fuzz { seed0 = 23; count = 2_000 })
-      ~step_bound:200 ~try_enqueue:ring_try_enq ~capacity:2
-      ~extra_check:ring_audit
-      ~queue:(ring_sim_ops ~capacity:2 ~max_failures:1)
+      ~step_bound:200 ~queue:ring_sim_ops
       ~scripts:[ [ `Enq 1; `Deq ]; [ `Enq 2; `Deq ] ]
       ()
   in
@@ -369,8 +329,6 @@ let ring_sim_cases =
   [
     Alcotest.test_case "ring enq|deq: dpor-exhaustive lincheck" `Quick
       test_ring_sim_enq_deq_dpor;
-    Alcotest.test_case "ring full-race: dpor-exhaustive bounded lincheck"
-      `Quick test_ring_sim_full_race_dpor;
     Alcotest.test_case "ring pairs: bounded-preemption lincheck" `Quick
       test_ring_sim_pairs_pb;
     Alcotest.test_case "ring pairs: fuzz lincheck" `Quick
@@ -392,10 +350,8 @@ let ring_sim_cases =
 
 module H = Wfq_lincheck.History
 module C = Wfq_lincheck.Checker
-module Kp_sim = Wfq_core.Kp_queue.Make (SA)
-module Fps_sim = Wfq_core.Kp_queue_fps.Make (SA)
 module Shard_real = Wfq_shard.Shard.Make (A)
-module Shard_sim = Wfq_shard.Shard.Make (SA)
+module Shard_sim = Wfq_shard.Shard.Make (Wfq_sim.Sim_atomic)
 
 (* Deterministic LCG so every generated script replays by seed. *)
 let mk_rng seed =
@@ -426,98 +382,28 @@ let gen_scripts rng ~threads ~ops ~max_batch : Ck.script list =
 
 (* --- simulator plane: random schedules, lincheck on every one ------ *)
 
-type sim_diff_row = {
-  sd_name : string;
-  sd_run : seed:int -> Ck.script list -> Ck.report;
-}
-
 let sim_diff_rows =
-  let fuzz ~seed = Ck.Fuzz { seed0 = seed * 7919; count = 40 } in
   [
-    {
-      sd_name = "kp-opt12";
-      sd_run =
-        (fun ~seed scripts ->
-          Ck.run ~mode:(fuzz ~seed)
-            ~queue:
-              {
-                Ck.create =
-                  (fun ~num_threads ->
-                    Kp_sim.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-                      ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ());
-                enqueue = (fun q ~tid v -> Kp_sim.enqueue q ~tid v);
-                dequeue = (fun q ~tid -> Kp_sim.dequeue q ~tid);
-                contents = Kp_sim.to_list;
-              }
-            ~enqueue_batch:(fun q ~tid vs -> Kp_sim.enqueue_batch q ~tid vs)
-            ~dequeue_batch:(fun q ~tid ~n -> Kp_sim.dequeue_batch q ~tid ~n)
-            ~scripts ());
-    };
-    {
-      sd_name = "kp-fps mf=1";
-      sd_run =
-        (fun ~seed scripts ->
-          Ck.run ~mode:(fuzz ~seed)
-            ~queue:
-              {
-                Ck.create =
-                  (fun ~num_threads ->
-                    Fps_sim.create_with ~max_failures:1
-                      ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-                      ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads
-                      ());
-                enqueue = (fun q ~tid v -> Fps_sim.enqueue q ~tid v);
-                dequeue = (fun q ~tid -> Fps_sim.dequeue q ~tid);
-                contents = Fps_sim.to_list;
-              }
-            ~enqueue_batch:(fun q ~tid vs -> Fps_sim.enqueue_batch q ~tid vs)
-            ~dequeue_batch:(fun q ~tid ~n -> Fps_sim.dequeue_batch q ~tid ~n)
-            ~scripts ());
-    };
-    {
-      (* Capacity far above the script's enqueue count, so the
-         unbounded FIFO spec applies unchanged. *)
-      sd_name = "ring mf=1";
-      sd_run =
-        (fun ~seed scripts ->
-          Ck.run ~mode:(fuzz ~seed)
-            ~queue:(ring_sim_ops ~capacity:64 ~max_failures:1)
-            ~enqueue_batch:(fun q ~tid vs -> Ring_sim.enqueue_batch q ~tid vs)
-            ~dequeue_batch:(fun q ~tid ~n -> Ring_sim.dequeue_batch q ~tid ~n)
-            ~extra_check:ring_audit ~scripts ());
-    };
-    {
-      sd_name = "shard strict";
-      sd_run =
-        (fun ~seed scripts ->
-          Ck.run ~mode:(fuzz ~seed)
-            ~queue:
-              {
-                Ck.create =
-                  (fun ~num_threads ->
-                    Shard_sim.create_strict ~num_threads ());
-                enqueue = (fun q ~tid v -> Shard_sim.enqueue q ~tid v);
-                dequeue = (fun q ~tid -> Shard_sim.dequeue q ~tid);
-                contents = Shard_sim.to_list;
-              }
-            ~enqueue_batch:(fun q ~tid vs -> Shard_sim.enqueue_batch q ~tid vs)
-            ~dequeue_batch:(fun q ~tid ~n ->
-              Shard_sim.dequeue_batch q ~tid ~n)
-            ~scripts ());
-    };
+    ("kp-opt12", Ck.of_spec "kp-opt12");
+    ("kp-fps mf=1", Ck.of_spec "fps?mf=1");
+    (* Capacity far above the script's enqueue count, so the
+       unbounded FIFO spec applies unchanged. *)
+    ("ring mf=1", Ck.of_spec "ring?capacity=64&mf=1");
+    ( "shard strict",
+      Ck.of_instance (fun ~num_threads ->
+          Shard_sim.instance (Shard_sim.create_strict ~num_threads ())) );
   ]
 
 let test_diff_fuzz_sim () =
   List.iter
-    (fun row ->
+    (fun (name, queue) ->
       for seed = 1 to 6 do
         let rng = mk_rng seed in
         let scripts = gen_scripts rng ~threads:3 ~ops:4 ~max_batch:3 in
-        let r = row.sd_run ~seed scripts in
-        match r.Ck.failure with
+        let mode = Ck.Fuzz { seed0 = seed * 7919; count = 40 } in
+        match (Ck.run ~mode ~queue ~scripts ()).failure with
         | None -> ()
-        | Some f ->
-            Alcotest.failf "%s seed %d: %a" row.sd_name seed Ck.pp_failure f
+        | Some f -> Alcotest.failf "%s seed %d: %a" name seed Ck.pp_failure f
       done)
     sim_diff_rows
 

@@ -5,25 +5,19 @@
    - wraparound past 2*capacity, sequentially on both paths (fast and
      all-slow), with white-box Probe checks that slot positions and
      hints track the lap count;
-   - DPOR model checking of the protocol corners the conc-queue suite
-     does not already cover: the stage-1 claim/rollback race between
-     two slow enqueues, the helping hand-off between two slow
-     dequeues, the dequeue-on-empty race, and wraparound under
-     [`Try_enq] on a capacity-1 ring — each explored to exhaustion
-     with the wait-freedom certifier and the quiescent audit on;
-   - the seeded [Rollback_skipped] fault: the checker must find the
-     duplicate-install schedule and shrink it;
    - an 8-domain conservation stress on real atomics at capacity 8
      (peak occupancy == capacity, so the run crosses thousands of
      laps);
-   - the [?obsv] metrics contract and the [register_metrics] gauges. *)
+   - the [?obsv] metrics contract and the [register_metrics] gauges.
+
+   The ring's DPOR litmuses (claim rollback, helping hand-off, full and
+   empty races, wraparound, the batch claimed-run rows) and its seeded
+   [rollback-skipped] fault are rows of Wfq_sim.Litmus, run and pinned
+   by test_litmus. *)
 
 module A = Wfq_primitives.Real_atomic
-module SA = Wfq_sim.Sim_atomic
-module Ck = Wfq_sim.Check
 module Rq = Wfq_core.Ring_queue
 module Ring = Rq.Make (A)
-module Ring_sim = Rq.Make (SA)
 module M = Wfq_obsv.Metrics
 
 let check_audit name q =
@@ -150,94 +144,6 @@ let test_probe_fresh () =
     (Ring.Probe.desc_pending q 0 || Ring.Probe.desc_pending q 1)
 
 (* ------------------------------------------------------------------ *)
-(* DPOR litmuses (sim atomics)                                        *)
-(* ------------------------------------------------------------------ *)
-
-let ring_sim_ops ?fault ~capacity ~max_failures () : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        Ring_sim.create_with ~capacity ~max_failures ?fault ~num_threads ());
-    enqueue = (fun q ~tid v -> Ring_sim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> Ring_sim.dequeue q ~tid);
-    contents = Ring_sim.to_list;
-  }
-
-let ring_try_enq q ~tid v = Ring_sim.try_enqueue q ~tid v
-let ring_audit q = Ring_sim.check_quiescent_invariants q
-
-let check_clean name (r : Ck.report) =
-  (match r.Ck.failure with
-  | None -> ()
-  | Some f -> Alcotest.failf "%s: %a" name Ck.pp_failure f);
-  Alcotest.(check bool) (name ^ ": exhausted") true r.Ck.exhausted
-
-(* Two all-slow-path enqueues racing for the same position: stage-1
-   claims collide and exactly one must roll back without losing either
-   value. *)
-let test_dpor_claim_rollback () =
-  check_clean "claim/rollback (enq|enq, mf=0)"
-    (Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~step_bound:200
-       ~extra_check:ring_audit
-       ~queue:(ring_sim_ops ~capacity:2 ~max_failures:0 ())
-       ~scripts:[ [ `Enq 1 ]; [ `Enq 2 ] ]
-       ())
-
-(* Two all-slow-path dequeues over one element: one must win the
-   hand-off (the helper publishes the value into the loser-or-winner's
-   descriptor before freeing the slot), the other must observe empty. *)
-let test_dpor_help_handoff () =
-  check_clean "helping hand-off (deq|deq over one element, mf=0)"
-    (Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~step_bound:200
-       ~init:[ 1 ] ~extra_check:ring_audit
-       ~queue:(ring_sim_ops ~capacity:2 ~max_failures:0 ())
-       ~scripts:[ [ `Deq ]; [ `Deq ] ]
-       ())
-
-(* Dequeue racing a slow enqueue on an initially empty capacity-1 ring:
-   None is legal only when the dequeue linearizes before the insert. *)
-let test_dpor_empty_race () =
-  check_clean "dequeue-on-empty race (capacity 1, mf=0)"
-    (Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~step_bound:200
-       ~extra_check:ring_audit
-       ~queue:(ring_sim_ops ~capacity:1 ~max_failures:0 ())
-       ~scripts:[ [ `Enq 1 ]; [ `Deq ] ]
-       ())
-
-(* Wraparound under contention: three bounded inserts chase three
-   dequeues through a capacity-1 ring, so accepted positions cross
-   2*capacity and every acceptance/rejection must match the bounded
-   spec at its linearization point. *)
-let test_dpor_wraparound () =
-  check_clean "wraparound past 2*capacity (capacity 1)"
-    (Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~step_bound:200
-       ~try_enqueue:ring_try_enq ~capacity:1 ~extra_check:ring_audit
-       ~queue:(ring_sim_ops ~capacity:1 ~max_failures:1 ())
-       ~scripts:[ [ `Try_enq 1; `Try_enq 2; `Try_enq 3 ]; [ `Deq; `Deq; `Deq ] ]
-       ())
-
-(* The seeded bug: a slow-path enqueue helper rolls a claim back
-   without checking that its own install landed, so the value is
-   installed twice. DPOR must find the schedule and shrink it. *)
-let test_dpor_fault_found () =
-  let r =
-    Ck.run ~mode:Ck.Dpor ~max_schedules:50_000 ~step_bound:200
-      ~try_enqueue:ring_try_enq ~capacity:1
-      ~queue:
-        (ring_sim_ops ~fault:Rq.Rollback_skipped ~capacity:1 ~max_failures:0
-           ())
-      ~scripts:[ [ `Try_enq 1 ]; [ `Deq ] ]
-      ()
-  in
-  match r.Ck.failure with
-  | None ->
-      Alcotest.fail "seeded Rollback_skipped fault not detected"
-  | Some f ->
-      Alcotest.(check bool)
-        "counterexample shrunk" true
-        (f.Ck.shrunk <> None)
-
-(* ------------------------------------------------------------------ *)
 (* 8-domain conservation stress (real atomics)                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -346,19 +252,6 @@ let () =
             `Quick test_wraparound_all_slow;
           Alcotest.test_case "probe: fresh state and first install" `Quick
             test_probe_fresh;
-        ] );
-      ( "dpor",
-        [
-          Alcotest.test_case "claim/rollback race exhausted" `Quick
-            test_dpor_claim_rollback;
-          Alcotest.test_case "helping hand-off exhausted" `Quick
-            test_dpor_help_handoff;
-          Alcotest.test_case "dequeue-on-empty race exhausted" `Quick
-            test_dpor_empty_race;
-          Alcotest.test_case "wraparound litmus exhausted" `Quick
-            test_dpor_wraparound;
-          Alcotest.test_case "seeded rollback-skipped fault found + shrunk"
-            `Quick test_dpor_fault_found;
         ] );
       ( "stress",
         [

@@ -28,8 +28,8 @@ type t = Backend_registry.t
 
 let instantiate_with (module At : ATOMIC) (module B : Queue_intf.BACKEND) =
   let module Q = B.Make (At) in
-  fun (type v) ?obsv ?pool ~num_threads () : v Queue_intf.instance ->
-  let q : v Q.t = Q.create ?obsv ?pool ~num_threads () in
+  fun (type v) ?obsv ~num_threads () : v Queue_intf.instance ->
+  let q : v Q.t = Q.create ?obsv ~num_threads () in
   {
     Queue_intf.i_name = Q.name;
     enq = (fun ~tid v -> Q.enqueue q ~tid v);
@@ -167,7 +167,7 @@ let kp ~id ~label cfg : t =
       include Q
       include Unbounded (Q)
 
-      let create ?obsv ?pool ~num_threads () =
+      let create ?obsv ~num_threads () =
         let handle =
           Option.map
             (fun (r, p) -> Kp_queue.metrics r ~prefix:p ~slots:num_threads)
@@ -179,7 +179,7 @@ let kp ~id ~label cfg : t =
               (if cfg.tuned then
                  Some { Kp_queue.gc_friendly = true; validate_before_cas = true }
                else None)
-            ~pool:(Option.value pool ~default:cfg.kp_pool)
+            ~pool:cfg.kp_pool
             ~help:cfg.help ~phase:cfg.phase ~num_threads ()
         in
         Option.iter (fun (r, p) -> Q.register_metrics q r ~prefix:p) obsv;
@@ -231,7 +231,7 @@ let fps ~id ~label cfg : t =
       include Q
       include Unbounded (Q)
 
-      let create ?obsv ?pool ~num_threads () =
+      let create ?obsv ~num_threads () =
         let handle =
           Option.map
             (fun (r, p) -> Kp_queue_fps.metrics r ~prefix:p ~slots:num_threads)
@@ -239,7 +239,7 @@ let fps ~id ~label cfg : t =
         in
         let q =
           Q.create_with ?obsv:handle ?fault:cfg.fps_fault
-            ~pool:(Option.value pool ~default:cfg.fps_pool)
+            ~pool:cfg.fps_pool
             ~max_failures:cfg.mf ~help:Kp_queue_fps.Help_one_cyclic
             ~phase:Kp_queue_fps.Phase_counter ~num_threads ()
         in
@@ -283,8 +283,7 @@ let ring ~id ~label cfg : t =
       module Q = Ring_queue.Make (A)
       include Q
 
-      (* Flat pre-allocated slots: [?pool] is meaningless and ignored. *)
-      let create ?obsv ?pool:_ ~num_threads () =
+      let create ?obsv ~num_threads () =
         let handle =
           Option.map
             (fun (r, p) -> Ring_queue.metrics r ~prefix:p ~slots:num_threads)
@@ -319,8 +318,7 @@ let polylog ~id ~label fault : t =
       include Unbounded (Q)
       include Q
 
-      (* Append-only block logs: no nodes to recycle, [?pool] ignored. *)
-      let create ?obsv ?pool:_ ~num_threads () =
+      let create ?obsv ~num_threads () =
         let handle =
           Option.map
             (fun (r, p) -> Polylog_queue.metrics r ~prefix:p ~slots:num_threads)
@@ -394,8 +392,7 @@ let baseline ?(sim_safe = false) (module F : BASELINE) ~id ~label : t =
         Wfq_obsv.Metrics.gauge registry ~name:(prefix ^ ".depth") (fun () ->
             Q.length t)
 
-      (* [?pool] is ignored: [lf?pool=true] is a separate family. *)
-      let create ?obsv ?pool:_ ~num_threads () =
+      let create ?obsv ~num_threads () =
         let q = Q.create ~num_threads () in
         Option.iter (fun (r, prefix) -> register_metrics q r ~prefix) obsv;
         q

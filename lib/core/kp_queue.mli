@@ -18,7 +18,7 @@
     [Wfq_registry] for dynamic thread populations). All operations are
     safe to call concurrently from any number of domains. *)
 
-type help_policy =
+type help_policy = Kp_internals.help_policy =
   | Help_all  (** base algorithm: help every pending operation with a
                   smaller-or-equal phase (paper L36-47) *)
   | Help_one_cyclic
@@ -30,14 +30,14 @@ type help_policy =
           {!Help_one_cyclic}; larger chunks approach {!Help_all}.
           Wait-freedom is preserved for any [k >= 1]. *)
 
-type phase_policy =
+type phase_policy = Kp_internals.phase_policy =
   | Phase_scan  (** base algorithm: scan the state array ([maxPhase]) *)
   | Phase_counter
       (** optimization 2: shared counter bumped by a result-ignored CAS
           (paper footnote 3); duplicate phases are harmless *)
 
 (** The further §3.3 enhancements, off by default. *)
-type tuning = {
+type tuning = Kp_internals.tuning = {
   gc_friendly : bool;
       (** reset the thread's descriptor to a node-free dummy before
           returning, so a dequeued node (and its value) cannot be kept
@@ -172,17 +172,13 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       [pool_quarantine:false]). [parked] counts objects currently
       sitting in free lists or quarantine. *)
 
-  val register_pool_metrics :
-    'a t -> Wfq_obsv.Metrics.t -> prefix:string -> unit
-  (** Attach the node (and, when active, descriptor) pools' live
-      counters and gauges under [prefix ^ ".nodes.*"] / [".descs.*"];
-      no-op for unpooled queues. *)
-
   val register_metrics :
     'a t -> Wfq_obsv.Metrics.t -> prefix:string -> unit
   (** The uniform {!Queue_intf.RUN_QUEUE} registration: a
       [prefix ^ ".depth"] gauge (polls [length] at snapshot time only)
-      plus {!register_pool_metrics}. The [?obsv] handle registers its
+      plus, when pooled, the node (and, when active, descriptor)
+      pools' live counters and gauges under [prefix ^ ".nodes.*"] /
+      [".descs.*"]. The [?obsv] handle registers its
       own metrics at construction; together they cover every diagnostic
       the queue produces. *)
 end

@@ -185,8 +185,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   (** Operations that exhausted [max_failures] and fell back to the
       slow path, all threads. Exact at quiescence. *)
 
-  val slow_path_entries_of : 'a t -> tid:int -> int
-
   val pending_of : 'a t -> tid:int -> bool
   (** Whether [tid]'s slow-path descriptor is currently pending. *)
 
@@ -199,9 +197,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       [(reused, fresh, parked)] for the node pool, then the same for the
       descriptor pool when descriptor recycling is active ([None] under
       [pool_quarantine:false]). *)
-
-  val debug_dump : 'a t -> unit
-  (** Print head/tail/descriptor state to stdout (quiescent debugging). *)
 
   val register_metrics :
     'a t -> Wfq_obsv.Metrics.t -> prefix:string -> unit

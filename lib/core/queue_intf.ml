@@ -101,16 +101,12 @@ module type QUEUE_BACKEND = sig
   val name : string
 
   val create :
-    ?obsv:Wfq_obsv.Metrics.t * string ->
-    ?pool:bool ->
-    num_threads:int ->
-    unit ->
-    'a t
+    ?obsv:Wfq_obsv.Metrics.t * string -> num_threads:int -> unit -> 'a t
   (** [?obsv:(registry, prefix)] attaches the backend's hot-path
       instrumentation (and the {!RUN_QUEUE} [.depth] gauge contract) at
-      construction; [?pool] requests node/descriptor recycling where the
-      backend supports it and is ignored where it is meaningless (the
-      ring and other flat-array structures allocate nothing per op). *)
+      construction. Node/descriptor recycling is part of the
+      configuration, not an argument: the [-pooled] entries and
+      [lf?pool=true] name it. *)
 
   val enqueue : 'a t -> tid:int -> 'a -> unit
   (** Unconditional insert; bounded backends raise their full-queue

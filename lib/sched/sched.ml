@@ -650,10 +650,10 @@ module Rq_shard (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE = struct
 end
 
 (* The registry route: any {!Wfq_core.Queue_intf.BACKEND} as a
-   run-queue. A QUEUE_BACKEND's [create] carries the optional [?obsv] /
-   [?pool] configuration hooks, so the only adaptation needed is
-   pinning [create] to the plain RUN_QUEUE arity — the configuration is
-   the one the backend's spec selected. *)
+   run-queue. A QUEUE_BACKEND's [create] carries the optional [?obsv]
+   hook, so the only adaptation needed is pinning [create] to the plain
+   RUN_QUEUE arity — the configuration is the one the backend's spec
+   selected. *)
 module Rq_of
     (B : Wfq_core.Queue_intf.BACKEND)
     (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE = struct

@@ -109,6 +109,11 @@ let fps_batch =
     (* one link CAS publishes the chain; either side may finish the
        tail jump *)
     r "b-chain-vs-deq" ~bound:80 [ [ `Enq_batch [ 1; 2 ] ]; [ `Deq; `Deq ] ];
+    (* every operation on the slow path: a helper of the batch dequeue
+       must read the sentinel's claim word after the descriptor, or it
+       re-records a sentinel the batch already consumed and delivers an
+       element twice. Unbounded: it does not exhaust at 200,000. *)
+    row "kp-fps" "fps?mf=0" "b-deq" [ [ `Enq_batch [ 1; 2 ] ]; [ `Deq_batch 3 ] ];
   ]
 
 (* The ring's own library: each row picks the capacity and fast-path
@@ -205,8 +210,8 @@ let faults =
       ~shrunk:0
       [ [ `Try_enq 1 ]; [ `Deq ] ];
     (* helpers help at the caller's phase instead of the descriptor's
-       own: the livelock of docs/FASTPATH.md, first found by DPOR at
-       203,561 schedules *)
+       own: the livelock of docs/FASTPATH.md, found by DPOR after
+       191,347 schedules *)
     r "kp-fps" "fps?mf=0&fault=stale-helper" "stale-helper" ~shrunk:51
       ~init:[ 1 ] ~step_limit:2_000 ~floor:250_000
       [ [ `Deq; `Enq 7 ]; [ `Deq ] ];
